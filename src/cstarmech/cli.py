@@ -48,7 +48,7 @@ from .serialization import (
     matrix_from_json,
     trajectory_to_csv,
 )
-from .states import DensityState, is_pure, uncertainty_check
+from .states import DensityState, uncertainty_check
 from .weyl import Grid1D, WaveFunction, clock_shift, grid_weyl_ops
 
 EXIT_OK = 0
@@ -71,10 +71,26 @@ def _sidecar(path: Path, tolerances: dict, cfg_hash: str):
               path.with_suffix(path.suffix + ".meta.json"))
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
+_REQUIRED = object()
+
+
+def _field(cfg: dict, key: str, kind=None, default=_REQUIRED):
+    """cfg[key], else the default, converted by ``kind`` if one is given.
+
+    A missing required field and a value ``kind`` rejects are ConfigErrors.
+    """
+    if key in cfg:
+        value = cfg[key]
+    elif default is _REQUIRED:
         raise ConfigError(f"config field {key!r} is required")
-    return cfg[key]
+    else:
+        value = default
+    if kind is None:
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config field {key!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +98,8 @@ def _require(cfg: dict, key: str):
 
 
 def cmd_uncertainty(cfg: dict, out: Path, seed: int, jobs: int) -> int:
-    dim = int(cfg.get("dim", 2))
-    samples = int(cfg.get("samples", 1000))
+    dim = _field(cfg, "dim", int, 2)
+    samples = _field(cfg, "samples", int, 1000)
     include_commuting = bool(cfg.get("include_commuting", False))
     if dim < 2 or samples < 1:
         raise ConfigError("dim must be >= 2 and samples >= 1")
@@ -125,12 +141,12 @@ def cmd_uncertainty(cfg: dict, out: Path, seed: int, jobs: int) -> int:
 
 
 def cmd_gns(cfg: dict, out: Path, seed: int, jobs: int) -> int:
-    gens_json = _require(cfg, "generators")
-    state_json = _require(cfg, "state")
-    tol = float(cfg.get("tol", 1e-10))
+    gens_json = _field(cfg, "generators")
+    state_json = _field(cfg, "state")
+    tol = _field(cfg, "tol", float, 1e-10)
     try:
         gens = [AlgebraElement(matrix_from_json(g)) for g in gens_json]
-        density = DensityState(matrix_from_json(_require(state_json, "density")))
+        density = DensityState(matrix_from_json(_field(state_json, "density")))
     except (InvalidInputError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad algebra/state description: {exc}") from exc
 
@@ -146,7 +162,7 @@ def cmd_gns(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     )
     recon_err = float(np.abs(recon - omega.values).max())
     irreducible = is_irreducible(result.rep)
-    pure = is_pure(density)
+    pure = omega.is_pure()
 
     dump_json(gns_result_to_json(result), out / "gns_result.json")
     verdicts = {
@@ -169,7 +185,7 @@ def cmd_weyl(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     ok = True
 
     if "n" in cfg:
-        n = int(cfg["n"])
+        n = _field(cfg, "n", int)
         pair = clock_shift(n)
         zeta = pair.zeta
         rel = float(np.linalg.norm(pair.U @ pair.V - zeta * pair.V @ pair.U, 2))
@@ -190,9 +206,9 @@ def cmd_weyl(cfg: dict, out: Path, seed: int, jobs: int) -> int:
 
     if "grid" in cfg:
         g = cfg["grid"]
-        grid = Grid1D(N=int(_require(g, "N")), L=float(_require(g, "L")))
-        alpha = float(cfg.get("alpha", 2 * np.pi / grid.L))
-        beta = float(cfg.get("beta", grid.dx))
+        grid = Grid1D(N=_field(g, "N", int), L=_field(g, "L", float))
+        alpha = _field(cfg, "alpha", float, 2 * np.pi / grid.L)
+        beta = _field(cfg, "beta", float, grid.dx)
         u, v = grid_weyl_ops(grid, alpha, beta)
         phase = np.exp(-1j * alpha * beta)
         rel = float(np.linalg.norm(u @ v - phase * v @ u, 2))
@@ -214,29 +230,32 @@ def cmd_weyl(cfg: dict, out: Path, seed: int, jobs: int) -> int:
 
 
 def _grid_from_cfg(cfg: dict) -> Grid1D:
-    g = _require(cfg, "grid")
-    return Grid1D(N=int(_require(g, "N")), L=float(_require(g, "L")))
+    g = _field(cfg, "grid")
+    return Grid1D(N=_field(g, "N", int), L=_field(g, "L", float))
 
 
 def _potential_from_cfg(cfg: dict):
-    p = _require(cfg, "potential")
-    return make_potential(_require(p, "name"), **p.get("params", {}))
+    p = _field(cfg, "potential")
+    try:
+        return make_potential(_field(p, "name"), **p.get("params", {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad potential parameters: {exc}") from exc
 
 
 def cmd_evolve(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     grid = _grid_from_cfg(cfg)
     potential = _potential_from_cfg(cfg)
     run = EvolutionConfig(
-        dt=float(_require(cfg, "dt")),
-        t_final=float(_require(cfg, "t_final")),
+        dt=_field(cfg, "dt", float),
+        t_final=_field(cfg, "t_final", float),
         potential=potential,
     )
     init = cfg.get("initial", {})
     psi0 = WaveFunction.gaussian(
         grid,
-        x0=float(init.get("x0", 0.0)),
-        p0=float(init.get("p0", 0.0)),
-        sigma=float(init.get("sigma", 1.0)),
+        x0=_field(init, "x0", float, 0.0),
+        p0=_field(init, "p0", float, 0.0),
+        sigma=_field(init, "sigma", float, 1.0),
     )
     _, traj = run_trajectory(psi0, run)
     csv_text = trajectory_to_csv(
@@ -267,14 +286,14 @@ def cmd_spectrum(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     if kind == "grid":
         grid = _grid_from_cfg(cfg)
         potential = _potential_from_cfg(cfg)
-        k = int(cfg.get("k", 5))
+        k = _field(cfg, "k", int, 5)
         h = build_hamiltonian(grid, potential)
         vals = eigen_spectrum(h, k)
     elif kind == "radial":
         rgrid = RadialGrid(
-            r_max=float(_require(cfg, "r_max")), M=int(_require(cfg, "M"))
+            r_max=_field(cfg, "r_max", float), M=_field(cfg, "M", int)
         )
-        k = int(cfg.get("k", 3))
+        k = _field(cfg, "k", int, 3)
         vals = radial_hydrogen_spectrum(rgrid, k)
     else:
         raise ConfigError(f"unknown spectrum kind {kind!r}")
@@ -283,8 +302,8 @@ def cmd_spectrum(cfg: dict, out: Path, seed: int, jobs: int) -> int:
               out / "spectrum.json")
     ok = True
     if "expect" in cfg:
-        expected = np.asarray(_require(cfg["expect"], "values"), dtype=float)
-        tol = float(cfg["expect"].get("tol", 1e-4))
+        expected = _field(cfg["expect"], "values", lambda v: np.asarray(v, dtype=float))
+        tol = _field(cfg["expect"], "tol", float, 1e-4)
         rel = bool(cfg["expect"].get("relative", False))
         err = np.abs(vals[: expected.size] - expected)
         if rel:
@@ -303,7 +322,7 @@ _BRACKET_TOL = 1e-6
 
 
 def cmd_classical(cfg: dict, out: Path, seed: int, jobs: int) -> int:
-    points = int(cfg.get("points", 100))
+    points = _field(cfg, "points", int, 100)
     rng = np.random.default_rng(seed)
 
     x_obs = config_observable(lambda q: q[0], "X")
@@ -340,8 +359,8 @@ def cmd_classical(cfg: dict, out: Path, seed: int, jobs: int) -> int:
         "harmonic",
         gradient=lambda z: (z.q, z.p),
     )
-    dt = float(cfg.get("dt", 1e-2))
-    steps = int(cfg.get("steps", 10000))
+    dt = _field(cfg, "dt", float, 1e-2)
+    steps = _field(cfg, "steps", int, 10000)
     z0 = PhasePoint(np.array([1.0]), np.array([0.0]))
     times, traj = hamilton_flow(h_obs, z0, dt, steps)
     energies = np.array([h_obs(z) for z in traj])
@@ -404,13 +423,15 @@ def main(argv=None) -> int:
             raise ConfigError("config root must be a JSON object")
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
+        seed = args.seed if args.seed is not None else _field(cfg, "seed", int, 0)
+        if seed < 0:
+            raise ConfigError("seed must be >= 0")
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
 
     try:
         code = COMMANDS[args.command](cfg, out, seed, args.jobs)

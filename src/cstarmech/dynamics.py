@@ -103,8 +103,11 @@ class EvolutionConfig:
             raise InvalidInputError("t_final must be nonnegative")
         if self.method not in ("split-operator", "exact-diagonalization"):
             raise InvalidInputError(f"unknown method {self.method!r}")
-        if abs(self.steps * self.dt - self.t_final) > self.dt:
-            raise InvalidInputError("t_final must be reachable within one step")
+        # steps rounds t_final / dt, so the run always ends within half a
+        # step of t_final; a run that would end further than a quarter step
+        # away (dt=0.3, t_final=1.0 stops at 0.9) is refused
+        if abs(self.steps * self.dt - self.t_final) > self.dt / 4:
+            raise InvalidInputError("t_final must be within dt/4 of a multiple of dt")
 
     @property
     def steps(self) -> int:

@@ -74,6 +74,28 @@ class AbstractState:
         vals = np.einsum("ab,kba->k", omega.b, basis.matrices())
         return cls(basis=basis, values=vals)
 
+    def is_pure(self, tol: float = 1e-10) -> bool:
+        """True iff the state is pure on the algebra its basis spans.
+
+        The basis is Frobenius-orthonormal, so E = sum_k conj(omega(A_k)) A_k
+        is the state's density inside the algebra: omega(A) = tr(E A) there.
+        The state is pure iff E = c p for a projection p that is minimal in
+        the algebra, i.e. span{p A_k p} is one-dimensional. On all of M_n
+        this says that the density matrix is a rank-one projection.
+        """
+        mats = self.basis.matrices()
+        e = np.einsum("k,kab->ab", self.values.conj(), mats)
+        evals, evecs = np.linalg.eigh((e + e.conj().T) / 2)
+        top = evals[-1]
+        support = evals > tol * top
+        if np.any(top - evals[support] > tol * top):
+            return False  # E is not a multiple of a projection
+        v = evecs[:, support]
+        # span{p A_k p} has the dimension of span{V* A_k V}, p = V V*
+        comp = np.einsum("ai,kab,bj->kij", v.conj(), mats, v).reshape(len(mats), -1)
+        s = np.linalg.svd(comp, compute_uv=False)
+        return s.size < 2 or s[1] <= tol * s[0]
+
     def gram(self, struct: np.ndarray | None = None) -> np.ndarray:
         """G_jk = omega(A_j* A_k), computed through the structure tensor."""
         basis = self.basis
@@ -199,51 +221,106 @@ def _block_restriction(mats, tol):
     return z, pairs
 
 
+def _null_space(stack: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal null vectors of ``stack``, one per row.
+
+    These are the right singular vectors with s <= tol * max(s_max, 1),
+    plus the directions a wide stack leaves unconstrained.
+    """
+    # full right singular basis is only needed when the stack is wide
+    full = stack.shape[0] < stack.shape[1]
+    try:
+        _, s, vh = np.linalg.svd(stack, full_matrices=full)
+    except np.linalg.LinAlgError:
+        # divide and conquer (gesdd) can fail on clustered singular values
+        _, s, vh = scipy.linalg.svd(stack, full_matrices=full, lapack_driver="gesvd")
+    scale = max(s[0] if s.size else 0.0, 1.0)
+    null_mask = np.concatenate([s <= tol * scale, np.ones(vh.shape[0] - s.size, bool)])
+    return vh[null_mask].conj()
+
+
+def _two_element_commutant(mats: np.ndarray, tol: float):
+    """Commutant of a (k, h, h) stack through two random combinations.
+
+    The null space of the Sylvester stack of X and Y contains the
+    commutant, because X and Y lie in the span of ``mats``. Returns it only
+    if every candidate M passes sqrt(sum_j ||rho_j M - M rho_j||_F^2)
+    <= tol * max(1, l), else None. l = ||S||_F / h, with ||S||_F^2 =
+    sum_j (2h ||rho_j||_F^2 - 2 |tr rho_j|^2), bounds the full stack S's
+    largest singular value from below (S has rank < h^2), so the check is
+    never looser than the full-stack threshold.
+    """
+    k, h = mats.shape[:2]
+    rng = np.random.default_rng(0)
+    coef = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
+    x, y = np.tensordot(coef, mats, axes=1)
+    # column-major vec: row v of the null space is the matrix v.reshape(h, h).T
+    cands = _null_space(_sylvester_stack([x, y]), tol).reshape(-1, h, h).transpose(0, 2, 1)
+
+    resid_sq = np.zeros(len(cands))
+    for m in mats:
+        resid_sq += (np.abs(m @ cands - cands @ m) ** 2).sum(axis=(1, 2))
+    fro_sq = (np.abs(mats) ** 2).sum(axis=(1, 2))
+    traces = np.trace(mats, axis1=1, axis2=2)
+    ell = np.sqrt((2 * h * fro_sq - 2 * np.abs(traces) ** 2).sum()) / h
+    if np.all(resid_sq <= (tol * max(1.0, ell)) ** 2):
+        return list(cands)
+    return None
+
+
+def _full_commutant(mats, tol: float) -> list[np.ndarray]:
+    """Commutant from the Sylvester stack of every rep matrix.
+
+    When a normal rep element has a spread spectrum, the system is first
+    restricted to its eigen-blocks.
+    """
+    h = mats[0].shape[0]
+    restriction = _block_restriction(mats, tol)
+    if restriction is None:
+        return [v.reshape(h, h, order="F") for v in _null_space(_sylvester_stack(mats), tol)]
+
+    z, pairs = restriction
+    tilde = [z.conj().T @ m @ z for m in mats]
+    cols = []
+    for a, b in pairs:
+        col = np.empty(len(mats) * h * h, dtype=complex)
+        for j, m in enumerate(tilde):
+            block = np.zeros((h, h), dtype=complex)
+            block[:, b] += m[:, a]   # rho E_ab
+            block[a, :] -= m[b, :]   # E_ab rho
+            col[j * h * h : (j + 1) * h * h] = block.ravel(order="F")
+        cols.append(col)
+    result = []
+    for v in _null_space(np.stack(cols, axis=1), tol):
+        mt = np.zeros((h, h), dtype=complex)
+        for c, (a, b) in zip(v, pairs):
+            mt[a, b] = c
+        result.append(z @ mt @ z.conj().T)
+    return result
+
+
 def commutant(rep, tol: float = 1e-10) -> list[np.ndarray]:
     """Frobenius-orthonormal basis of {M : M rho_j = rho_j M for all j}.
 
-    Computed as the null space of the stacked Sylvester system; always
-    contains the identity direction. When a normal rep element has a
-    spread spectrum, the system is first restricted to its eigen-blocks.
+    Always contains the identity direction. With more than two rep
+    matrices, the null space of the Sylvester stack of two seeded random
+    combinations X, Y of them is tried first: it contains the commutant
+    and equals it when X and Y generate the represented algebra, which two
+    generic elements do. It is accepted only if each candidate commutes
+    with every rep matrix within the full-stack threshold or tighter;
+    otherwise, and with at most two rep matrices, the null space of the
+    stacked Sylvester system of all of them is taken, first restricted to
+    the eigen-blocks of a normal rep element with a spread spectrum.
     """
     mats = [np.asarray(r, dtype=complex) for r in rep]
     h = mats[0].shape[0]
     if any(m.shape != (h, h) for m in mats):
         raise InvalidInputError("representation matrices must share one shape")
-
-    restriction = _block_restriction(mats, tol)
-    if restriction is not None:
-        z, pairs = restriction
-        tilde = [z.conj().T @ m @ z for m in mats]
-        cols = []
-        for a, b in pairs:
-            col = np.empty(len(mats) * h * h, dtype=complex)
-            for j, m in enumerate(tilde):
-                block = np.zeros((h, h), dtype=complex)
-                block[:, b] += m[:, a]   # rho E_ab
-                block[a, :] -= m[b, :]   # E_ab rho
-                col[j * h * h : (j + 1) * h * h] = block.ravel(order="F")
-            cols.append(col)
-        stack = np.stack(cols, axis=1)
-    else:
-        stack = _sylvester_stack(mats)
-
-    # full right singular basis is only needed when the stack is wide
-    _, s, vh = np.linalg.svd(stack, full_matrices=stack.shape[0] < stack.shape[1])
-    scale = max(s[0] if s.size else 0.0, 1.0)
-    null_mask = np.concatenate([s <= tol * scale, np.ones(vh.shape[0] - s.size, bool)])
-    null = vh[null_mask].conj()
-
-    result = []
-    for v in null:
-        if restriction is not None:
-            mt = np.zeros((h, h), dtype=complex)
-            for c, (a, b) in zip(v, pairs):
-                mt[a, b] = c
-            result.append(z @ mt @ z.conj().T)
-        else:
-            result.append(v.reshape(h, h, order="F"))
-    return result
+    if len(mats) > 2:
+        found = _two_element_commutant(np.stack(mats), tol)
+        if found is not None:
+            return found
+    return _full_commutant(mats, tol)
 
 
 def is_irreducible(rep, tol: float = 1e-10) -> bool:
@@ -283,10 +360,7 @@ def find_intertwiner(rep1, rep2, tol: float = 1e-8, map_vector=None):
         sol, *_ = np.linalg.lstsq(a_full, b_full, rcond=None)
         candidates.append(sol.reshape(h, h, order="F"))
     else:
-        _, s, vh = np.linalg.svd(sylv, full_matrices=sylv.shape[0] < sylv.shape[1])
-        smax = max(s[0] if s.size else 0.0, 1.0)
-        null_mask = np.concatenate([s <= tol * smax, np.ones(vh.shape[0] - s.size, bool)])
-        null = vh[null_mask].conj()
+        null = _null_space(sylv, tol)
         for v in null:
             candidates.append(v.reshape(h, h, order="F"))
         if null.shape[0] > 1:

@@ -6,7 +6,7 @@ import pytest
 from cstarmech.cli import main
 from cstarmech.serialization import matrix_to_json
 
-from conftest import SX, SY
+from conftest import SX, SY, SZ
 
 
 def write_cfg(tmp_path, cfg, name="config.json"):
@@ -77,6 +77,18 @@ class TestGns:
         assert verdicts["hilbert_dim"] == 4
         assert not verdicts["irreducible"] and not verdicts["pure"]
 
+    def test_purity_is_judged_on_the_generated_algebra(self, tmp_path):
+        # |+> is pure on M_2 but restricts to the tracial state on the diagonals
+        cfg = {
+            "generators": [matrix_to_json(SZ)],
+            "state": {"density": matrix_to_json(np.full((2, 2), 0.5))},
+        }
+        code, out = run(tmp_path, "gns", cfg)
+        assert code == 0
+        verdicts = json.loads((out / "verdicts.json").read_text())
+        assert verdicts["hilbert_dim"] == 2
+        assert not verdicts["irreducible"] and not verdicts["pure"]
+
     def test_missing_state_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "gns", {"generators": [matrix_to_json(SX)]})
         assert code == 2
@@ -122,6 +134,16 @@ class TestEvolve:
     def test_unknown_potential_is_config_error(self, tmp_path):
         cfg = dict(self.CFG, potential={"name": "linear"})
         code, _ = run(tmp_path, "evolve", cfg)
+        assert code == 2
+
+    def test_non_numeric_grid_size_is_config_error(self, tmp_path):
+        cfg = dict(self.CFG, grid={"N": "abc", "L": 20.0})
+        code, out = run(tmp_path, "evolve", cfg)
+        assert code == 2
+        assert not (out / "trajectory.csv").exists()
+
+    def test_unreachable_t_final_is_config_error(self, tmp_path):
+        code, _ = run(tmp_path, "evolve", dict(self.CFG, dt=0.3, t_final=1.0))
         assert code == 2
 
 
@@ -200,6 +222,11 @@ class TestHarness:
              "--jobs", "0"]
         )
         assert code == 2
+
+    def test_negative_seed(self, tmp_path):
+        code, out = run(tmp_path, "uncertainty", {"dim": 2, "samples": 3}, seed=-1)
+        assert code == 2
+        assert not (out / "uncertainty.csv").exists()
 
     def test_manifest_contents(self, tmp_path):
         code, out = run(tmp_path, "weyl", {"n": 4})

@@ -48,9 +48,23 @@ class TestPotentials:
             EvolutionConfig(dt=-0.1, t_final=1.0, potential=make_potential("free"))
 
     def test_steps_round_to_nearest(self):
-        c = EvolutionConfig(dt=0.4, t_final=1.0, potential=make_potential("free"))
-        assert c.steps == 2
-        assert abs(c.steps * c.dt - c.t_final) <= c.dt
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point
+        c = EvolutionConfig(dt=0.1, t_final=0.3, potential=make_potential("free"))
+        assert c.steps == 3
+        assert abs(c.steps * c.dt - c.t_final) <= 1e-12
+
+    @pytest.mark.parametrize("dt, t_final", [(0.3, 1.0), (0.4, 1.0), (0.3, 0.1)])
+    def test_config_rejects_unreachable_t_final(self, dt, t_final):
+        with pytest.raises(InvalidInputError):
+            EvolutionConfig(dt=dt, t_final=t_final, potential=make_potential("free"))
+
+    @pytest.mark.parametrize(
+        "dt, t_final",
+        [(1e-3, 0.5), (5e-4, 0.5), (0.05, 0.5), (0.0125, 0.5), (1e-3, 2 * np.pi)],
+    )
+    def test_config_accepts_reachable_t_final(self, dt, t_final):
+        c = EvolutionConfig(dt=dt, t_final=t_final, potential=make_potential("free"))
+        assert c.steps == round(t_final / dt)
 
     def test_config_steps(self):
         assert cfg(dt=1e-2, t_final=1.0).steps == 100

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cstarmech import gns
 from cstarmech.algebra import AlgebraBasis, AlgebraElement, generate_algebra, operator_norm
 from cstarmech.errors import ClosureError, InvalidStateError
 from cstarmech.gns import (
@@ -11,7 +14,7 @@ from cstarmech.gns import (
     is_irreducible,
     structure_tensor,
 )
-from cstarmech.sampling import random_density, random_selfadjoint
+from cstarmech.sampling import random_density, random_selfadjoint, random_unitary
 from cstarmech.states import DensityState, expectation, from_vector, is_pure
 
 from conftest import SX, SY, SZ
@@ -183,6 +186,112 @@ class TestCommutant:
         for n in (2, 3, 8):
             pair = clock_shift(n)
             assert is_irreducible([pair.U, pair.V])
+
+
+def random_generators(rng, n, count, kind):
+    """Self-adjoint generators of a generic algebra ("full"), of a
+    commutative one with repeated eigenvalues ("commuting"), or of a
+    block-diagonal one in a random basis ("blocks")."""
+    u = random_unitary(rng, n)
+    gens = []
+    for _ in range(count):
+        if kind == "full":
+            g = random_selfadjoint(rng, n).entries
+        elif kind == "commuting":
+            g = u @ np.diag(rng.integers(0, 3, n).astype(float)) @ u.conj().T
+        else:
+            cut = n // 2
+            g = np.zeros((n, n), dtype=complex)
+            g[:cut, :cut] = random_selfadjoint(rng, cut).entries
+            g[cut:, cut:] = random_selfadjoint(rng, n - cut).entries
+            g = u @ g @ u.conj().T
+        gens.append(AlgebraElement(g))
+    return gens
+
+
+class TestCommutantPaths:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(2, 5),
+        rank_frac=st.floats(0.0, 1.0),
+        count=st.integers(1, 3),
+        kind=st.sampled_from(["full", "commuting", "blocks"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_stack(self, n, rank_frac, count, kind, seed):
+        rng = np.random.default_rng(seed)
+        rank = 1 + int(rank_frac * (n - 1) + 0.5)
+        basis = generate_algebra(random_generators(rng, n, count, kind))
+        res = gns_from_density(basis, random_density(rng, n, rank=rank))
+        rep = [np.asarray(r) for r in res.rep]
+        got = commutant(rep)
+        assert len(got) == len(gns._full_commutant(rep, 1e-10))
+        for m in got:
+            for r in rep:
+                scale = max(1.0, np.linalg.norm(r, 2))
+                np.testing.assert_allclose(m @ r, r @ m, atol=1e-9 * scale)
+
+    def test_fallback_when_two_elements_do_not_generate(self):
+        # span{E_12, E_13, E_14}: any two elements of it miss one direction,
+        # so the two-element candidates fail the check on the third
+        rep = []
+        for j in (1, 2, 3):
+            e = np.zeros((4, 4), dtype=complex)
+            e[0, j] = 1.0
+            rep.append(e)
+        assert gns._two_element_commutant(np.stack(rep), 1e-10) is None
+        got = commutant(rep)
+        assert len(got) == len(gns._full_commutant(rep, 1e-10)) == 4
+        for m in got:
+            for r in rep:
+                np.testing.assert_allclose(m @ r, r @ m, atol=1e-12)
+
+    def test_two_element_path_on_gns_rep(self, rng):
+        basis = full_matrix_basis(3, rng)
+        res = gns_from_density(basis, random_density(rng, 3, rank=2))
+        found = gns._two_element_commutant(np.stack(res.rep), 1e-10)
+        assert found is not None and len(found) == 4
+        flat = np.stack([m.ravel() for m in found])
+        np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(4), atol=1e-12)
+
+
+class TestAlgebraPurity:
+    def test_vector_state_on_diagonals_is_mixed(self):
+        basis = generate_algebra([AlgebraElement(SZ)])
+        plus = from_vector(np.array([1.0, 1.0]) / np.sqrt(2))
+        assert is_pure(plus)
+        assert not AbstractState.from_density(basis, plus).is_pure()
+
+    def test_basis_vector_state_on_diagonals_is_pure(self):
+        basis = generate_algebra([AlgebraElement(SZ)])
+        assert AbstractState.from_density(basis, from_vector([1.0, 0.0])).is_pure()
+
+    def test_matches_density_purity_on_full_algebra(self, rng):
+        basis = full_matrix_basis(3, rng)
+        for rank in (1, 2, 3):
+            omega = random_density(rng, 3, rank=rank)
+            assert AbstractState.from_density(basis, omega).is_pure() == is_pure(omega)
+        tracial = DensityState.maximally_mixed(3)
+        assert not AbstractState.from_density(basis, tracial).is_pure()
+
+    def test_matches_irreducibility_on_a_non_factor(self, rng):
+        # M_2 + M_1: a vector state is pure exactly when it lives in one block
+        gens = []
+        for corner in (5.0, 0.0):
+            g = np.zeros((3, 3), dtype=complex)
+            g[:2, :2] = random_selfadjoint(rng, 2).entries
+            g[2, 2] = corner
+            gens.append(AlgebraElement(g))
+        basis = generate_algebra(gens)
+        assert len(basis) == 5
+        cases = {(1, 0, 0): True, (0, 0, 1): True, (1, 1, 0): True, (1, 0, 1): False}
+        for vec, pure in cases.items():
+            v = np.array(vec) / np.linalg.norm(vec)
+            omega = AbstractState.from_density(basis, from_vector(v))
+            assert omega.is_pure() == pure
+            assert is_irreducible(gns_construct(omega).rep) == pure
+        omega = AbstractState.from_density(basis, random_density(rng, 3, rank=2))
+        assert not omega.is_pure() and not is_irreducible(gns_construct(omega).rep)
 
 
 class TestPurityIrreducibility:
