@@ -15,7 +15,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +96,7 @@ def _field(cfg: dict, key: str, kind=None, default=_REQUIRED):
 # subcommands
 
 
-def cmd_uncertainty(cfg: dict, out: Path, seed: int, jobs: int) -> int:
+def cmd_uncertainty(cfg: dict, out: Path, seed: int) -> int:
     dim = _field(cfg, "dim", int, 2)
     samples = _field(cfg, "samples", int, 1000)
     include_commuting = bool(cfg.get("include_commuting", False))
@@ -115,13 +114,7 @@ def cmd_uncertainty(cfg: dict, out: Path, seed: int, jobs: int) -> int:
         rep = uncertainty_check(omega, a1, a2)
         return rep.lhs, rep.rhs, rep.lhs - rep.rhs
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, range(samples)))
-    else:
-        rows = [one(i) for i in range(samples)]
-
-    arr = np.array(rows)
+    arr = np.array([one(i) for i in range(samples)])
     csv_text = trajectory_to_csv(
         {"lhs": arr[:, 0], "rhs": arr[:, 1], "margin": arr[:, 2]}
     )
@@ -140,7 +133,7 @@ def cmd_uncertainty(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     return EXIT_OK if violations == 0 else EXIT_CHECK_FAILED
 
 
-def cmd_gns(cfg: dict, out: Path, seed: int, jobs: int) -> int:
+def cmd_gns(cfg: dict, out: Path, seed: int) -> int:
     gens_json = _field(cfg, "generators")
     state_json = _field(cfg, "state")
     tol = _field(cfg, "tol", float, 1e-10)
@@ -180,7 +173,7 @@ def cmd_gns(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_weyl(cfg: dict, out: Path, seed: int, jobs: int) -> int:
+def cmd_weyl(cfg: dict, out: Path, seed: int) -> int:
     report = {}
     ok = True
 
@@ -242,7 +235,7 @@ def _potential_from_cfg(cfg: dict):
         raise ConfigError(f"bad potential parameters: {exc}") from exc
 
 
-def cmd_evolve(cfg: dict, out: Path, seed: int, jobs: int) -> int:
+def cmd_evolve(cfg: dict, out: Path, seed: int) -> int:
     grid = _grid_from_cfg(cfg)
     potential = _potential_from_cfg(cfg)
     run = EvolutionConfig(
@@ -281,7 +274,7 @@ def cmd_evolve(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_spectrum(cfg: dict, out: Path, seed: int, jobs: int) -> int:
+def cmd_spectrum(cfg: dict, out: Path, seed: int) -> int:
     kind = cfg.get("kind", "grid")
     if kind == "grid":
         grid = _grid_from_cfg(cfg)
@@ -321,7 +314,7 @@ def cmd_spectrum(cfg: dict, out: Path, seed: int, jobs: int) -> int:
 _BRACKET_TOL = 1e-6
 
 
-def cmd_classical(cfg: dict, out: Path, seed: int, jobs: int) -> int:
+def cmd_classical(cfg: dict, out: Path, seed: int) -> int:
     points = _field(cfg, "points", int, 100)
     rng = np.random.default_rng(seed)
 
@@ -409,7 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="overrides the config seed (default: config, else 0)")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility (must be >= 1); runs serially")
     return parser
 
 
@@ -434,7 +428,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     try:
-        code = COMMANDS[args.command](cfg, out, seed, args.jobs)
+        code = COMMANDS[args.command](cfg, out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -1,9 +1,11 @@
 """Quantum time evolution, bound-state spectra, and the particle in a
 potential.
 
-Schroedinger-picture evolution uses Strang-split FFT stepping (exactly
-unitary per step, second order in dt) or dense exact diagonalization;
-Heisenberg-picture evolution conjugates observables by exp(-itH). The
+Each picture has one integrator. One Strang-split FFT stepper (exactly
+unitary per step, second order in dt) yields the Schroedinger-picture
+states that plain runs, recorded trajectories and the Ehrenfest check
+read, the last two in one pass; one eigendecomposition propagator gives
+exact evolution of states and of observables (Heisenberg picture). The
 hydrogen check reduces to the l = 0 radial operator on an offset grid that
 never touches r = 0.
 """
@@ -132,89 +134,92 @@ class Trajectory:
     norm: np.ndarray
 
 
-def _split_operator_run(psi0: WaveFunction, cfg: EvolutionConfig, record: bool):
-    grid = psi0.grid
-    x = grid.points
-    k = grid.frequencies
-    vvals = cfg.potential(x)
-    half_v = np.exp(-0.5j * cfg.dt * vvals)
-    kin = np.exp(-0.5j * cfg.dt * k**2)
+def _require_normalized(psi0: WaveFunction):
+    if abs(psi0.norm() - 1.0) > 1e-8:
+        raise InvalidInputError("initial wave function must be normalized")
 
-    psi = psi0.samples.copy()
-    dx = grid.dx
-    rows = []
 
-    def observables(ps):
-        ps_hat = np.fft.fft(ps)
-        w = dx / grid.N  # Parseval weight for the FFT convention
-        nrm2 = np.sum(np.abs(ps) ** 2) * dx
-        xm = float(np.sum(x * np.abs(ps) ** 2) * dx / nrm2)
-        pm = float(np.sum(k * np.abs(ps_hat) ** 2) * w / nrm2)
-        en = float(
-            (np.sum(0.5 * k**2 * np.abs(ps_hat) ** 2) * w
-             + np.sum(vvals * np.abs(ps) ** 2) * dx) / nrm2
-        )
-        return xm, pm, en, float(np.sqrt(nrm2))
+def _strang_states(psi0: WaveFunction, cfg: EvolutionConfig):
+    """Yield (psi, sum |psi|^2 dx) at t = 0, dt, ..., steps * dt.
 
-    if record:
-        rows.append(observables(psi))
+    Strang splitting exp(-i dt V/2) exp(-i dt P^2/2) exp(-i dt V/2), the
+    kinetic factor in Fourier space (Feit, Fleck & Steiger 1982); it is
+    unitary per step, so a norm drift beyond 1e-6 is a NumericalError.
+    """
+    if cfg.method != "split-operator":
+        raise InvalidInputError(f"Strang stepping cannot run method {cfg.method!r}")
+    _require_normalized(psi0)
+    dx = psi0.grid.dx
+    half_v = np.exp(-0.5j * cfg.dt * cfg.potential(psi0.grid.points))
+    kin = np.exp(-0.5j * cfg.dt * psi0.grid.frequencies**2)
+    psi = psi0.samples
+    yield psi, np.sum(np.abs(psi) ** 2) * dx
     for step in range(cfg.steps):
-        psi = half_v * psi
-        psi = np.fft.ifft(kin * np.fft.fft(psi))
-        psi = half_v * psi
-        nrm = np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
-        if abs(nrm - 1.0) > 1e-6:
-            raise NumericalError(f"norm drifted to {nrm} at step {step + 1}")
-        if record:
-            rows.append(observables(psi))
-
-    final = WaveFunction(grid, psi)
-    if not record:
-        return final, None
-    arr = np.array(rows)
-    times = cfg.dt * np.arange(cfg.steps + 1)
-    return final, Trajectory(times, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
+        psi = half_v * np.fft.ifft(kin * np.fft.fft(half_v * psi))
+        nrm2 = np.sum(np.abs(psi) ** 2) * dx
+        if abs(np.sqrt(nrm2) - 1.0) > 1e-6:
+            raise NumericalError(f"norm drifted to {np.sqrt(nrm2)} at step {step + 1}")
+        yield psi, nrm2
 
 
-def _exact_run(psi0: WaveFunction, cfg: EvolutionConfig):
-    grid = psi0.grid
-    h = build_hamiltonian(grid, cfg.potential)
-    evals, evecs = np.linalg.eigh(h)
-    coeffs = evecs.conj().T @ psi0.samples
-    psi = evecs @ (np.exp(-1j * evals * cfg.t_final) * coeffs)
-    return WaveFunction(grid, psi)
+class _Propagator:
+    """exp(-itH) of a Hermitian matrix H from one eigendecomposition."""
+
+    def __init__(self, hm: np.ndarray):
+        try:
+            self.evals, self.evecs = np.linalg.eigh(hm)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+
+    def state(self, v: np.ndarray, t: float) -> np.ndarray:
+        """exp(-itH) v by phases in the eigenbasis; no dense unitary."""
+        return self.evecs @ (np.exp(-1j * self.evals * t) * (self.evecs.conj().T @ v))
+
+    def observable(self, a: np.ndarray, t: float) -> np.ndarray:
+        """exp(itH) a exp(-itH)."""
+        u = (self.evecs * np.exp(1j * self.evals * t)) @ self.evecs.conj().T
+        return u @ a @ u.conj().T
+
+
+def _hamiltonian_propagator(h: AlgebraElement) -> _Propagator:
+    hm = h.entries
+    if np.linalg.norm(hm - hm.conj().T, 2) > 1e-10 * max(np.linalg.norm(hm, 2), 1.0):
+        raise InvalidInputError("Hamiltonian must be self-adjoint")
+    return _Propagator((hm + hm.conj().T) / 2)
 
 
 def evolve_schrodinger(psi0: WaveFunction, cfg: EvolutionConfig) -> WaveFunction:
     """Evolve psi0 to t_final under H = P^2/2 + V(X)."""
-    if abs(psi0.norm() - 1.0) > 1e-8:
-        raise InvalidInputError("initial wave function must be normalized")
     if cfg.method == "exact-diagonalization":
-        return _exact_run(psi0, cfg)
-    final, _ = _split_operator_run(psi0, cfg, record=False)
-    return final
+        _require_normalized(psi0)
+        prop = _Propagator(build_hamiltonian(psi0.grid, cfg.potential))
+        return WaveFunction(psi0.grid, prop.state(psi0.samples, cfg.t_final))
+    for psi, _ in _strang_states(psi0, cfg):
+        pass
+    return WaveFunction(psi0.grid, psi)
 
 
 def run_trajectory(psi0: WaveFunction, cfg: EvolutionConfig):
     """Split-operator run recording <X>, <P>, <H>, and the norm per step."""
-    if abs(psi0.norm() - 1.0) > 1e-8:
-        raise InvalidInputError("initial wave function must be normalized")
-    return _split_operator_run(psi0, cfg, record=True)
+    grid = psi0.grid
+    x, k, dx = grid.points, grid.frequencies, grid.dx
+    w = dx / grid.N  # Parseval weight for the FFT convention
+    vvals = cfg.potential(x)
+    rows = []
+    for psi, nrm2 in _strang_states(psi0, cfg):
+        dens, dens_hat = np.abs(psi) ** 2, np.abs(np.fft.fft(psi)) ** 2
+        en = (np.sum(0.5 * k**2 * dens_hat) * w + np.sum(vvals * dens) * dx) / nrm2
+        rows.append((np.sum(x * dens) * dx / nrm2, np.sum(k * dens_hat) * w / nrm2,
+                     en, np.sqrt(nrm2)))
+    times = cfg.dt * np.arange(cfg.steps + 1)
+    return WaveFunction(grid, psi), Trajectory(times, *np.array(rows).T)
 
 
 def evolve_heisenberg(a0: AlgebraElement, h: AlgebraElement, t: float) -> AlgebraElement:
     """A(t) = exp(itH) A0 exp(-itH) via eigendecomposition of H."""
     if a0.dim != h.dim:
         raise DimensionMismatchError("observable and Hamiltonian dimensions differ")
-    hm = h.entries
-    if np.linalg.norm(hm - hm.conj().T, 2) > 1e-10 * max(np.linalg.norm(hm, 2), 1.0):
-        raise InvalidInputError("Hamiltonian must be self-adjoint")
-    try:
-        evals, evecs = np.linalg.eigh((hm + hm.conj().T) / 2)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    u = evecs @ np.diag(np.exp(1j * evals * t)) @ evecs.conj().T
-    return AlgebraElement(u @ a0.entries @ u.conj().T)
+    return AlgebraElement(_hamiltonian_propagator(h).observable(a0.entries, t))
 
 
 @dataclass(frozen=True)
@@ -229,17 +234,16 @@ def picture_equivalence_check(
 ) -> PictureReport:
     """Compare <psi(t)|A0 psi(t)> with <psi0|A(t) psi0> (exact propagators)."""
     v = np.asarray(psi0, dtype=complex).ravel()
-    if v.size != h.dim:
-        raise DimensionMismatchError("state vector does not match Hamiltonian")
+    if v.size != h.dim or a0.dim != h.dim:
+        raise DimensionMismatchError("state vector or observable does not match Hamiltonian")
     nrm = np.linalg.norm(v)
     if nrm == 0:
         raise InvalidInputError("zero state vector")
     v = v / nrm
-    evals, evecs = np.linalg.eigh(h.entries)
-    psi_t = evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ v))
+    prop = _hamiltonian_propagator(h)
+    psi_t = prop.state(v, t)
     s_val = complex(np.vdot(psi_t, a0.entries @ psi_t))
-    a_t = evolve_heisenberg(a0, h, t)
-    h_val = complex(np.vdot(v, a_t.entries @ v))
+    h_val = complex(np.vdot(v, prop.observable(a0.entries, t) @ v))
     return PictureReport(s_val, h_val, abs(s_val - h_val))
 
 
@@ -315,39 +319,29 @@ class EhrenfestReport:
 def ehrenfest_check(psi0: WaveFunction, cfg: EvolutionConfig) -> EhrenfestReport:
     """Compare d<X>/dt with <P> and d<P>/dt with +-<V'(X)> along a run.
 
-    Time derivatives come from central differences on the recorded
-    trajectory; the force sign that actually matches is reported.
+    <X>, <P> and <V'(X)> are recorded in one Strang pass; time derivatives
+    come from central differences on them, and the force sign that actually
+    matches is reported.
     """
     if cfg.potential.derivative is None:
         raise InvalidInputError("potential needs a derivative for the Ehrenfest check")
     if cfg.steps < 3:
         raise InvalidInputError("need at least 3 steps")
     grid = psi0.grid
-    x = grid.points
+    x, k, dx = grid.points, grid.frequencies, grid.dx
+    w = dx / grid.N  # Parseval weight for the FFT convention
     vprime = np.asarray(cfg.potential.derivative(x), dtype=float)
+    rows = []
+    for psi, nrm2 in _strang_states(psi0, cfg):
+        dens, dens_hat = np.abs(psi) ** 2, np.abs(np.fft.fft(psi)) ** 2
+        rows.append((np.sum(x * dens) * dx / nrm2, np.sum(k * dens_hat) * w / nrm2,
+                     np.sum(vprime * dens) * dx / nrm2))
+    x_mean, p_mean, vp_means = np.array(rows).T
 
-    final, traj = run_trajectory(psi0, cfg)
-    del final
-
-    # <V'(X)> per recorded time needs the full wave function; rerun cheaply
-    # by evolving step by step with the same splitting.
-    vp_means = []
-    psi = psi0.samples.copy()
-    k = grid.frequencies
-    half_v = np.exp(-0.5j * cfg.dt * cfg.potential(x))
-    kin = np.exp(-0.5j * cfg.dt * k**2)
-    dx = grid.dx
-    for step in range(cfg.steps + 1):
-        nrm2 = np.sum(np.abs(psi) ** 2) * dx
-        vp_means.append(float(np.sum(vprime * np.abs(psi) ** 2) * dx / nrm2))
-        if step < cfg.steps:
-            psi = half_v * (np.fft.ifft(kin * np.fft.fft(half_v * psi)))
-    vp_means = np.array(vp_means)
-
-    dxdt = (traj.x_mean[2:] - traj.x_mean[:-2]) / (2 * cfg.dt)
-    dpdt = (traj.p_mean[2:] - traj.p_mean[:-2]) / (2 * cfg.dt)
+    dxdt = (x_mean[2:] - x_mean[:-2]) / (2 * cfg.dt)
+    dpdt = (p_mean[2:] - p_mean[:-2]) / (2 * cfg.dt)
     mid = slice(1, -1)
-    gap_x = float(np.max(np.abs(dxdt - traj.p_mean[mid])))
+    gap_x = float(np.max(np.abs(dxdt - p_mean[mid])))
     gap_plus = float(np.max(np.abs(dpdt - vp_means[mid])))
     gap_minus = float(np.max(np.abs(dpdt + vp_means[mid])))
     if gap_minus <= gap_plus:

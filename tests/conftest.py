@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# every property test is deterministic: fixed example order, no example
+# database, no per-example deadline
+settings.register_profile("cstarmech", deadline=None, derandomize=True, database=None)
+settings.load_profile("cstarmech")
 
 # single recorded seed for every randomized test in the suite
 SUITE_SEED = 20240817

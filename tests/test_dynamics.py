@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from cstarmech import dynamics
 from cstarmech.algebra import AlgebraElement, commutator, operator_norm
 from cstarmech.dynamics import (
     EvolutionConfig,
@@ -15,7 +19,7 @@ from cstarmech.dynamics import (
     radial_hydrogen_spectrum,
     run_trajectory,
 )
-from cstarmech.errors import InvalidInputError
+from cstarmech.errors import DimensionMismatchError, InvalidInputError
 from cstarmech.sampling import random_selfadjoint
 from cstarmech.weyl import Grid1D, WaveFunction
 
@@ -156,6 +160,19 @@ class TestSchrodingerEvolution:
         with pytest.raises(InvalidInputError):
             evolve_schrodinger(psi, cfg())
 
+    def test_trajectory_ends_where_evolve_schrodinger_ends(self):
+        psi0 = WaveFunction.gaussian(GRID, x0=0.8, p0=0.3, sigma=0.9)
+        config = cfg(dt=1e-3, t_final=0.2)
+        final, _ = run_trajectory(psi0, config)
+        assert np.array_equal(final.samples, evolve_schrodinger(psi0, config).samples)
+
+    def test_trajectory_refuses_exact_method(self):
+        # a recorded run is Strang stepping; it must not pass off Strang
+        # samples as exact ones
+        psi0 = WaveFunction.gaussian(GRID, x0=1.0)
+        with pytest.raises(InvalidInputError):
+            run_trajectory(psi0, cfg(dt=0.05, t_final=0.5, method="exact-diagonalization"))
+
 
 class TestHeisenbergPicture:
     def test_larmor_half_turn(self):
@@ -210,6 +227,19 @@ class TestHeisenbergPicture:
         with pytest.raises(InvalidInputError):
             evolve_heisenberg(
                 AlgebraElement(SX), AlgebraElement([[0, 1], [0, 0]]), 1.0
+            )
+
+    def test_picture_check_rejects_non_selfadjoint_hamiltonian(self):
+        with pytest.raises(InvalidInputError):
+            picture_equivalence_check(
+                np.array([1.0, 0.0]), AlgebraElement(SX),
+                AlgebraElement([[0, 1], [0, 0]]), 1.0,
+            )
+
+    def test_picture_check_rejects_mismatched_observable(self):
+        with pytest.raises(DimensionMismatchError):
+            picture_equivalence_check(
+                np.array([1.0, 0.0]), AlgebraElement(np.eye(3)), AlgebraElement(SZ), 1.0
             )
 
 
@@ -274,3 +304,104 @@ class TestEhrenfest:
         psi0 = WaveFunction.gaussian(GRID)
         with pytest.raises(InvalidInputError):
             ehrenfest_check(psi0, cfg("well", dt=1e-3, t_final=0.1))
+
+    def test_refuses_exact_method(self):
+        psi0 = WaveFunction.gaussian(GRID, x0=1.0)
+        with pytest.raises(InvalidInputError):
+            ehrenfest_check(
+                psi0, cfg(dt=0.05, t_final=0.5, method="exact-diagonalization")
+            )
+
+    def test_gaps_match_reference_recomputation(self):
+        g = Grid1D(N=64, L=12.0)
+        psi0 = WaveFunction.gaussian(g, x0=0.8, p0=-0.4, sigma=0.8)
+        config = cfg("quartic", a=0.25, dt=0.01, t_final=0.2)
+        rep = ehrenfest_check(psi0, config)
+        _, traj = run_trajectory(psi0, config)
+
+        # reference <V'(X)> = <X^3> at every recorded time, from a plain
+        # Strang loop
+        x, dt = g.points, config.dt
+        half_v = np.exp(-0.5j * dt * 0.25 * x**4)
+        kin = np.exp(-0.5j * dt * g.frequencies**2)
+        psi = psi0.samples
+        vp = []
+        for _ in range(config.steps + 1):
+            vp.append(np.sum(x**3 * np.abs(psi) ** 2) / np.sum(np.abs(psi) ** 2))
+            psi = half_v * np.fft.ifft(kin * np.fft.fft(half_v * psi))
+        vp = np.array(vp)
+
+        dxdt = (traj.x_mean[2:] - traj.x_mean[:-2]) / (2 * dt)
+        dpdt = (traj.p_mean[2:] - traj.p_mean[:-2]) / (2 * dt)
+        assert rep.force_sign == -1
+        assert rep.dX_dt_gap == pytest.approx(
+            np.max(np.abs(dxdt - traj.p_mean[1:-1])), rel=1e-9, abs=1e-15
+        )
+        assert rep.dP_dt_gap == pytest.approx(
+            np.max(np.abs(dpdt + vp[1:-1])), rel=1e-9, abs=1e-15
+        )
+
+
+TIMES = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@st.composite
+def hamiltonian_system(draw):
+    """A Hermitian H, matrices A and B and a vector v, all of one size n."""
+    n = draw(st.integers(1, 6))
+    entries = st.floats(-3.0, 3.0, allow_subnormal=False)
+    re, im = draw(hnp.arrays(float, (2, 3 * n + 1, n), elements=entries))
+    z = re + 1j * im
+    h = z[:n]
+    return (h + h.conj().T) / 2, z[n : 2 * n], z[2 * n : 3 * n], z[3 * n]
+
+
+def dense_unitary(prop, t):
+    n = prop.evals.size
+    return np.column_stack([prop.state(e, t) for e in np.eye(n)])
+
+
+class TestDynamicsProperties:
+    @settings(max_examples=20)
+    @given(
+        x0=st.floats(-1.5, 1.5), p0=st.floats(-1.5, 1.5), sigma=st.floats(0.6, 1.4)
+    )
+    def test_strang_is_second_order(self, x0, p0, sigma):
+        g = Grid1D(N=128, L=16.0)
+        psi0 = WaveFunction.gaussian(g, x0=x0, p0=p0, sigma=sigma)
+        exact = evolve_schrodinger(
+            psi0, cfg(dt=0.05, t_final=0.5, method="exact-diagonalization")
+        )
+        errs = [
+            np.linalg.norm(evolve_schrodinger(psi0, cfg(dt=dt, t_final=0.5)).samples
+                           - exact.samples) * np.sqrt(g.dx)
+            for dt in (0.05, 0.025)
+        ]
+        assert 1.8 <= np.log2(errs[0] / errs[1]) <= 2.2
+
+    @given(hamiltonian_system(), TIMES, TIMES)
+    def test_propagator_group_law_and_unitarity(self, system, s, t):
+        h, _, _, v = system
+        n = h.shape[0]
+        prop = dynamics._Propagator(h)
+        tol = 1e-12 * n * (1 + np.linalg.norm(h, 2) * (abs(s) + abs(t)))
+        u_s, u_t = dense_unitary(prop, s), dense_unitary(prop, t)
+        np.testing.assert_allclose(u_s @ u_t, dense_unitary(prop, s + t), atol=tol)
+        np.testing.assert_allclose(u_t.conj().T @ u_t, np.eye(n), atol=1e-12 * n)
+        np.testing.assert_allclose(prop.state(v, t), u_t @ v, atol=tol * (1 + np.linalg.norm(v)))
+
+    @given(hamiltonian_system(), TIMES)
+    def test_heisenberg_is_star_automorphism(self, system, t):
+        h, a, b, _ = system
+        n = h.shape[0]
+
+        def alpha(m):
+            return evolve_heisenberg(AlgebraElement(m), AlgebraElement(h), t).entries
+
+        na, nb = np.linalg.norm(a, 2), np.linalg.norm(b, 2)
+        tol = 1e-11 * n * (1 + na) * (1 + nb)
+        np.testing.assert_allclose(alpha(a @ b), alpha(a) @ alpha(b), atol=tol)
+        np.testing.assert_allclose(alpha(a.conj().T), alpha(a).conj().T, atol=tol)
+        np.testing.assert_allclose(alpha(a + b), alpha(a) + alpha(b), atol=tol)
+        np.testing.assert_allclose(alpha(np.eye(n)), np.eye(n), atol=1e-12 * n)
+        assert abs(np.linalg.norm(alpha(a), 2) - na) <= tol

@@ -210,7 +210,7 @@ def random_generators(rng, n, count, kind):
 
 
 class TestCommutantPaths:
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(
         n=st.integers(2, 5),
         rank_frac=st.floats(0.0, 1.0),
