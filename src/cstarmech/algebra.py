@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionMismatchError, InvalidInputError, NumericalError
 
@@ -90,12 +91,36 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.entries.conj().T)
 
 
+def _svd(m: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
+    """numpy's SVD (LAPACK gesdd), redone with LAPACK gesvd if gesdd fails.
+
+    Divide and conquer (gesdd) can fail to converge on clustered singular
+    values where gesvd does not.
+    """
+    try:
+        return np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        return scipy.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv,
+                                lapack_driver="gesvd")
+
+
+def _operator_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a (S, n, n) stack.
+
+    One batched SVD; only if it fails, each matrix goes through ``_svd``.
+    """
+    try:
+        return np.linalg.norm(stack, 2, axis=(-2, -1))
+    except np.linalg.LinAlgError:
+        return np.array([_svd(m, compute_uv=False)[0] for m in stack])
+
+
 def operator_norm(a) -> float:
     """Largest singular value of the matrix (the C* norm)."""
     m = a.entries if isinstance(a, AlgebraElement) else _as_matrix(a)
     try:
-        return float(np.linalg.norm(m, 2))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        return float(_operator_norms(m[None])[0])
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular value computation failed: {exc}") from exc
 
 
@@ -165,7 +190,7 @@ class AlgebraBasis:
 
 def _orthonormal_rows(rows: np.ndarray, rel_tol: float) -> np.ndarray:
     """Orthonormal basis of the row space, rank cut at rel_tol * s_max."""
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    _, s, vh = _svd(rows)
     if s.size == 0 or s[0] == 0.0:
         return vh[:0]
     return vh[s > rel_tol * s[0]]

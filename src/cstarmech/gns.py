@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraBasis, AlgebraElement, operator_norm
+from .algebra import AlgebraBasis, AlgebraElement, _operator_norms, _svd
 from .errors import ClosureError, InvalidInputError, InvalidStateError
 from .states import DensityState
 
@@ -93,7 +93,7 @@ class AbstractState:
         v = evecs[:, support]
         # span{p A_k p} has the dimension of span{V* A_k V}, p = V V*
         comp = np.einsum("ai,kab,bj->kij", v.conj(), mats, v).reshape(len(mats), -1)
-        s = np.linalg.svd(comp, compute_uv=False)
+        s = _svd(comp, compute_uv=False)
         return s.size < 2 or s[1] <= tol * s[0]
 
     def gram(self, struct: np.ndarray | None = None) -> np.ndarray:
@@ -229,11 +229,7 @@ def _null_space(stack: np.ndarray, tol: float) -> np.ndarray:
     """
     # full right singular basis is only needed when the stack is wide
     full = stack.shape[0] < stack.shape[1]
-    try:
-        _, s, vh = np.linalg.svd(stack, full_matrices=full)
-    except np.linalg.LinAlgError:
-        # divide and conquer (gesdd) can fail on clustered singular values
-        _, s, vh = scipy.linalg.svd(stack, full_matrices=full, lapack_driver="gesvd")
+    _, s, vh = _svd(stack, full_matrices=full)
     scale = max(s[0] if s.size else 0.0, 1.0)
     null_mask = np.concatenate([s <= tol * scale, np.ones(vh.shape[0] - s.size, bool)])
     return vh[null_mask].conj()
@@ -348,7 +344,7 @@ def find_intertwiner(rep1, rep2, tol: float = 1e-8, map_vector=None):
     # vec(U rho1 - rho2 U) = (rho1^T kron I - I kron rho2) vec U, column-major
     blocks = [np.kron(a.T, eye) - np.kron(eye, b) for a, b in zip(m1, m2)]
     sylv = np.vstack(blocks)
-    scale = max(max(np.linalg.norm(m, 2) for m in m1 + m2), 1.0)
+    scale = max(_operator_norms(np.stack(m1 + m2)).max(), 1.0)
 
     candidates = []
     if map_vector is not None:
@@ -372,12 +368,12 @@ def find_intertwiner(rep1, rep2, tol: float = 1e-8, map_vector=None):
             candidates.append(combo.reshape(h, h, order="F"))
 
     for u0 in candidates:
-        sv = np.linalg.svd(u0, compute_uv=False)
+        sv = _svd(u0, compute_uv=False)
         if sv[0] == 0.0 or sv[-1] <= tol * sv[0]:
             continue  # singular: not invertible, no unitary polar factor
-        uu, _, vvh = np.linalg.svd(u0)
+        uu, _, vvh = _svd(u0, full_matrices=True)
         u = uu @ vvh
-        resid = max(np.linalg.norm(u @ a - b @ u, 2) for a, b in zip(m1, m2))
+        resid = _operator_norms(np.stack([u @ a - b @ u for a, b in zip(m1, m2)])).max()
         if resid <= tol * scale:
             if map_vector is not None:
                 v_from = np.asarray(map_vector[0], dtype=complex).ravel()

@@ -96,8 +96,6 @@ def spectrum(a: AlgebraElement, tol: float = 1e-8) -> list[complex]:
     Self-adjoint inputs yield real outputs exactly (eigh path)."""
     vals, _ = _normal_eigensystem(a, tol)
     means, _ = _cluster(vals, _cluster_tol(a, tol))
-    if classify(a, tol).selfadjoint:
-        means = [complex(mu.real, 0.0) for mu in means]
     return means
 
 
@@ -112,8 +110,6 @@ def spectral_measure(
     _check_dims(omega, a)
     vals, vecs = _normal_eigensystem(a, tol)
     means, groups = _cluster(vals, _cluster_tol(a, tol))
-    if classify(a, tol).selfadjoint:
-        means = [complex(mu.real, 0.0) for mu in means]
     weights = []
     for g in groups:
         v = vecs[:, g]

@@ -1,4 +1,8 @@
-"""States as density matrices: positive, unit-trace functionals A -> tr(bA)."""
+"""States as density matrices: positive, unit-trace functionals A -> tr(bA).
+
+The checks and the uncertainty kernel work on stacks of shape (S, n, n) and
+name the first row that fails; the scalar API is a batch of one over them.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, classify, commutator, operator_norm
+from .algebra import AlgebraElement, _operator_norms, operator_norm
 from .errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -18,16 +22,85 @@ from .errors import (
 __all__ = [
     "DensityState",
     "UncertaintyReport",
+    "check_densities",
+    "check_observables",
     "expectation",
     "from_vector",
     "is_pure",
     "mix",
     "variance",
     "uncertainty_check",
+    "uncertainty_bounds",
     "has_definite_value",
 ]
 
 _STATE_TOL = 1e-12
+_OBSERVABLE_TOL = 1e-10
+
+
+def _first_bad(bad: np.ndarray, error, what: str, values=None):
+    """Raise ``error`` naming the first row that ``bad`` flags; ``what`` is
+    formatted with that row's entry of ``values``, if given."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        msg = what if values is None else what.format(values[k])
+        raise error(f"row {k}: {msg}" if bad.size > 1 else msg)
+
+
+def _require_finite(m: np.ndarray, error, what: str = "matrix"):
+    _first_bad(~np.isfinite(m).all(axis=(1, 2)), error, f"{what} entries must be finite")
+
+
+def _as_stack(m, error, what: str) -> np.ndarray:
+    """A (S, n, n) stack of finite complex matrices."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise error(f"expected a stack of square {what} matrices, got shape {m.shape}")
+    _require_finite(m, error, f"{what} matrix")
+    return m
+
+
+def _adjoints(m: np.ndarray) -> np.ndarray:
+    return m.conj().transpose(0, 2, 1)
+
+
+def _traces(m: np.ndarray) -> np.ndarray:
+    return np.trace(m, axis1=1, axis2=2)
+
+
+def check_densities(b) -> np.ndarray:
+    """Check a stack of density matrices and return it as a complex array.
+
+    Each matrix must be finite, self-adjoint within 1e-12 max(||b||, 1), of
+    trace one within 1e-12 and without an eigenvalue below -1e-12. The
+    norms and eigenvalues of the whole stack come from batched calls; an
+    InvalidStateError names the first failing row.
+    """
+    m = _as_stack(b, InvalidStateError, "density")
+    mh = _adjoints(m)
+    scale = np.maximum(_operator_norms(m), 1.0)
+    _first_bad(_operator_norms(m - mh) > _STATE_TOL * scale, InvalidStateError,
+               "density matrix is not self-adjoint")
+    traces = _traces(m)
+    _first_bad(np.abs(traces - 1.0) > _STATE_TOL, InvalidStateError,
+               "trace must be 1, got {}", traces)
+    _first_bad(np.linalg.eigvalsh((m + mh) / 2).min(axis=1) < -_STATE_TOL,
+               InvalidStateError, "density matrix has a negative eigenvalue")
+    return m
+
+
+def check_observables(a) -> np.ndarray:
+    """Check a stack of observables and return it as a complex array.
+
+    Each matrix must be finite (else InvalidInputError) and self-adjoint
+    within 1e-10 max(||A||, 1) (else NonObservableError); the error names
+    the first failing row.
+    """
+    m = _as_stack(a, InvalidInputError, "observable")
+    scale = np.maximum(_operator_norms(m), 1.0)
+    _first_bad(_operator_norms(m - _adjoints(m)) > _OBSERVABLE_TOL * scale,
+               NonObservableError, "observable must be self-adjoint")
+    return m
 
 
 @dataclass(frozen=True)
@@ -40,13 +113,7 @@ class DensityState:
         m = np.asarray(self.b, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidStateError(f"density matrix must be square, got {m.shape}")
-        scale = max(float(np.linalg.norm(m, 2)), 1.0)
-        if np.linalg.norm(m - m.conj().T, 2) > _STATE_TOL * scale:
-            raise InvalidStateError("density matrix is not self-adjoint")
-        if abs(np.trace(m) - 1.0) > _STATE_TOL:
-            raise InvalidStateError(f"trace must be 1, got {np.trace(m)}")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -_STATE_TOL:
-            raise InvalidStateError("density matrix has a negative eigenvalue")
+        check_densities(m[None])
         object.__setattr__(self, "b", m)
         m.setflags(write=False)
 
@@ -108,23 +175,27 @@ def mix(states, weights) -> DensityState:
     return DensityState(sum(p * s.b for p, s in zip(w, states)))
 
 
-def _require_observable(a: AlgebraElement, tol: float = 1e-10):
-    if not classify(a, tol).selfadjoint:
-        raise NonObservableError("observable must be self-adjoint")
+def _variances(b: np.ndarray, a) -> tuple[np.ndarray, np.ndarray]:
+    """omega(A^2) - omega(A)^2 per row, clipped at zero, for checked
+    densities ``b``; returns it with the checked observables."""
+    a = check_observables(a)
+    if a.shape[-1] != b.shape[-1]:
+        raise DimensionMismatchError(f"state dim {b.shape[-1]} vs element dim {a.shape[-1]}")
+    if len(a) != len(b):
+        raise DimensionMismatchError(f"{len(b)} states vs {len(a)} observables")
+    a_sq = a @ a
+    _require_finite(a_sq, InvalidInputError)
+    mean = _traces(b @ a).real
+    second = _traces(b @ a_sq).real
+    var = second - mean * mean
+    _first_bad(var < -_STATE_TOL * np.maximum(second, 1.0), InvalidStateError,
+               "variance {} below round-off floor", var)
+    return np.where(var < 0.0, 0.0, var), a
 
 
 def variance(omega: DensityState, a: AlgebraElement) -> float:
     """omega(A^2) - omega(A)^2 for self-adjoint A, clipped at zero."""
-    _require_observable(a)
-    _check_dims(omega, a)
-    mean = expectation(omega, a).real
-    second = expectation(omega, a @ a).real
-    var = second - mean * mean
-    if var < 0.0:
-        if var < -_STATE_TOL * max(second, 1.0):
-            raise InvalidStateError(f"variance {var} below round-off floor")
-        var = 0.0
-    return var
+    return float(_variances(omega.b[None], a.entries[None])[0][0])
 
 
 @dataclass(frozen=True)
@@ -134,13 +205,35 @@ class UncertaintyReport:
     holds: bool
 
 
+def _bounds(b: np.ndarray, a1, a2) -> tuple[np.ndarray, np.ndarray]:
+    """Delta(A1) Delta(A2) and |omega([A1, A2])| / 2 per row, for checked
+    densities ``b``."""
+    var1, a1 = _variances(b, a1)
+    var2, a2 = _variances(b, a2)
+    comm = a1 @ a2 - a2 @ a1
+    _require_finite(comm, InvalidInputError)
+    z = _traces(b @ comm)
+    # np.hypot rounds |z| as Python's abs(complex) does; np.abs may not
+    return np.sqrt(var1) * np.sqrt(var2), np.hypot(z.real, z.imag) / 2.0
+
+
+def uncertainty_bounds(b, a1, a2) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of Delta(A1) Delta(A2) >= |omega([A1, A2])| / 2 for each
+    row of (S, n, n) stacks of density matrices and observable pairs.
+
+    Every density and observable is checked as DensityState and variance
+    check them; an error names the first failing row.
+    """
+    return _bounds(check_densities(b), a1, a2)
+
+
 def uncertainty_check(
     omega: DensityState, a1: AlgebraElement, a2: AlgebraElement
 ) -> UncertaintyReport:
     """Check Delta(A1) Delta(A2) >= |omega([A1, A2])| / 2."""
-    lhs = np.sqrt(variance(omega, a1)) * np.sqrt(variance(omega, a2))
-    rhs = abs(expectation(omega, commutator(a1, a2))) / 2.0
-    return UncertaintyReport(lhs=float(lhs), rhs=float(rhs), holds=bool(lhs >= rhs - 1e-10))
+    lhs, rhs = _bounds(omega.b[None], a1.entries[None], a2.entries[None])
+    lhs, rhs = float(lhs[0]), float(rhs[0])
+    return UncertaintyReport(lhs=lhs, rhs=rhs, holds=lhs >= rhs - 1e-10)
 
 
 def has_definite_value(omega: DensityState, a: AlgebraElement, tol: float = 1e-10) -> bool:

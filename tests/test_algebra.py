@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cstarmech.algebra import (
     AlgebraElement,
+    _operator_norms,
+    _orthonormal_rows,
     adjoint,
     classify,
     commutator,
@@ -10,8 +13,10 @@ from cstarmech.algebra import (
     is_commutative,
     operator_norm,
 )
-from cstarmech.errors import DimensionMismatchError, InvalidInputError
-from cstarmech.sampling import random_element, random_selfadjoint
+from cstarmech.errors import DimensionMismatchError, InvalidInputError, NumericalError
+from cstarmech.gns import AbstractState, _null_space, find_intertwiner
+from cstarmech.sampling import random_element, random_selfadjoint, random_unitary
+from cstarmech.states import from_vector
 
 from conftest import SX, SY, SZ
 
@@ -157,3 +162,81 @@ class TestNormAxioms:
     def test_submultiplicative(self, rng):
         a, b = random_element(rng, 5), random_element(rng, 5)
         assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) + 1e-10
+
+
+def gesvd(m, full_matrices=True, compute_uv=True):
+    return scipy.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv,
+                            lapack_driver="gesvd")
+
+
+@pytest.fixture
+def gesdd_fails(monkeypatch):
+    """numpy's SVD (LAPACK gesdd), alone and inside ord-2 norms, raises as
+    it does when it does not converge; returns the list of failed calls."""
+    failed = []
+    real_norm = np.linalg.norm
+
+    def svd(*args, **kwargs):
+        failed.append("svd")
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    def norm(x, ord=None, axis=None, keepdims=False):
+        if ord == 2:
+            failed.append("norm")
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    return failed
+
+
+class TestSvdFallback:
+    """Every SVD site returns LAPACK gesvd's result when gesdd fails."""
+
+    def test_operator_norm(self, gesdd_fails, rng):
+        m = random_element(rng, 6).entries
+        assert operator_norm(m) == gesvd(m, compute_uv=False)[0]
+        assert gesdd_fails == ["norm", "svd"]
+
+    def test_batched_norms_fall_back_per_matrix(self, gesdd_fails, rng):
+        stack = np.stack([random_element(rng, 4).entries for _ in range(3)])
+        want = [gesvd(m, compute_uv=False)[0] for m in stack]
+        assert list(_operator_norms(stack)) == want
+        assert gesdd_fails == ["norm", "svd", "svd", "svd"]
+
+    def test_operator_norm_failure_is_numerical_error(self, gesdd_fails, monkeypatch, rng):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "svd", fails)
+        with pytest.raises(NumericalError):
+            operator_norm(random_element(rng, 3))
+
+    def test_orthonormal_rows(self, gesdd_fails, rng):
+        rows = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 9))  # rank 3
+        _, s, vh = gesvd(rows, full_matrices=False)
+        np.testing.assert_array_equal(_orthonormal_rows(rows, 1e-10), vh[s > 1e-10 * s[0]])
+        assert len(_orthonormal_rows(rows, 1e-10)) == 3
+        assert gesdd_fails
+
+    def sites(self, rng):
+        """Results of the gns SVD sites: a null space, a purity verdict and
+        an intertwiner, whose polar step takes an SVD."""
+        stack = np.vstack([np.kron(np.eye(3), a) - np.kron(a.T, np.eye(3))
+                           for a in (np.diag([1.0, 1.0, 2.0]), np.eye(3))])
+        basis = generate_algebra([AlgebraElement(SX), AlgebraElement(SY)])
+        pure = AbstractState.from_density(basis, from_vector([1.0, 0.0])).is_pure()
+        w = random_unitary(rng, 3)
+        rep1 = [random_selfadjoint(rng, 3).entries for _ in range(2)]
+        u = find_intertwiner(rep1, [w @ r @ w.conj().T for r in rep1])
+        return _null_space(stack, 1e-10), pure, u
+
+    def test_gns_sites(self, gesdd_fails, monkeypatch):
+        null, pure, u = self.sites(np.random.default_rng(3))
+        assert gesdd_fails
+        monkeypatch.setattr(np.linalg, "svd", gesvd)
+        ref_null, ref_pure, ref_u = self.sites(np.random.default_rng(3))
+        assert null.shape[0] == 5 and pure and ref_pure and u is not None
+        np.testing.assert_array_equal(null, ref_null)
+        np.testing.assert_array_equal(u, ref_u)

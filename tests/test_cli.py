@@ -1,10 +1,14 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
+from cstarmech import cli
 from cstarmech.cli import main
-from cstarmech.serialization import matrix_to_json
+from cstarmech.sampling import random_density, random_selfadjoint
+from cstarmech.serialization import dump_json, matrix_to_json, trajectory_to_csv
+from cstarmech.states import uncertainty_check
 
 from conftest import SX, SY, SZ
 
@@ -57,6 +61,52 @@ class TestUncertainty:
     def test_bad_dim_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "uncertainty", {"dim": 1})
         assert code == 2
+
+    @staticmethod
+    def per_draw_outputs(out, dim, samples, commuting, seed):
+        """uncertainty.csv and summary.json from one checked draw at a time."""
+        rows = []
+        for i in range(samples):
+            rng = np.random.default_rng([seed, i])
+            omega = random_density(rng, dim)
+            a1 = random_selfadjoint(rng, dim)
+            a2 = a1 @ a1 if commuting and i == 0 else random_selfadjoint(rng, dim)
+            rep = uncertainty_check(omega, a1, a2)
+            rows.append((rep.lhs, rep.rhs, rep.lhs - rep.rhs))
+        lhs, rhs, margin = np.array(rows).T
+        out.mkdir()
+        (out / "uncertainty.csv").write_text(
+            trajectory_to_csv({"lhs": lhs, "rhs": rhs, "margin": margin})
+        )
+        summary = {"dim": dim, "samples": samples,
+                   "violations": int(np.sum(margin < -1e-10)),
+                   "min_margin": float(margin.min())}
+        dump_json(summary, out / "summary.json")
+
+    @pytest.mark.parametrize("samples", [1, 16, 17, 37])
+    @pytest.mark.parametrize("commuting", [True, False])
+    def test_blocks_match_per_draw_reference(self, tmp_path, samples, commuting):
+        cfg = {"dim": 4, "samples": samples, "include_commuting": commuting}
+        code, out = run(tmp_path, "uncertainty", cfg, seed=21)
+        assert code == 0
+        self.per_draw_outputs(tmp_path / "ref", 4, samples, commuting, seed=21)
+        for name in ("uncertainty.csv", "summary.json"):
+            assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    def test_failed_draw_check_names_the_draw(self, tmp_path, monkeypatch, capsys):
+        draws = []
+        real = cli.density_matrix
+
+        def density_matrix(rng, n):
+            draws.append(None)
+            b = real(rng, n)
+            return 2 * b if len(draws) == 20 else b  # draw 19: trace 2
+
+        monkeypatch.setattr(cli, "density_matrix", density_matrix)
+        code, out = run(tmp_path, "uncertainty", {"dim": 3, "samples": 40})
+        assert code == 2
+        assert "draws 16-31, row 3: trace must be 1" in capsys.readouterr().err
+        assert not (out / "uncertainty.csv").exists()
 
 
 class TestGns:
@@ -227,6 +277,19 @@ class TestHarness:
         code, out = run(tmp_path, "uncertainty", {"dim": 2, "samples": 3}, seed=-1)
         assert code == 2
         assert not (out / "uncertainty.csv").exists()
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        code, _ = run(tmp_path, "weyl", {"n": 4})
+        assert code == 0
+        assert built == []
 
     def test_manifest_contents(self, tmp_path):
         code, out = run(tmp_path, "weyl", {"n": 4})

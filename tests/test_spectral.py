@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cstarmech import spectral
 from cstarmech.algebra import AlgebraElement, generate_algebra
 from cstarmech.errors import EvaluationDomainError, InvalidInputError
 from cstarmech.sampling import random_density, random_selfadjoint
@@ -28,6 +29,17 @@ class TestSpectrum:
             np.exp(2j * np.pi * np.arange(3) / 3), key=lambda z: np.angle(z)
         )
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    def test_selfadjoint_classified_once_and_real(self, rng, monkeypatch):
+        calls = []
+        classify = spectral.classify
+        monkeypatch.setattr(spectral, "classify",
+                            lambda a, tol: calls.append(tol) or classify(a, tol))
+        a = random_selfadjoint(rng, 4)
+        assert all(mu.imag == 0.0 for mu in spectrum(a))
+        mu = spectral_measure(random_density(rng, 4), a)
+        assert all(lam.imag == 0.0 for lam, _ in mu.atoms)
+        assert len(calls) == 2  # one per call
 
     def test_rejects_non_normal(self):
         with pytest.raises(InvalidInputError):

@@ -1,25 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cstarmech.algebra import AlgebraElement, adjoint
 from cstarmech.errors import (
+    DimensionMismatchError,
     InvalidInputError,
     InvalidStateError,
     NonObservableError,
 )
 from cstarmech.sampling import (
+    density_matrix,
     random_density,
     random_element,
     random_pure_vector,
     random_selfadjoint,
+    selfadjoint_matrix,
 )
 from cstarmech.states import (
     DensityState,
+    _variances,
+    check_densities,
+    check_observables,
     expectation,
     from_vector,
     has_definite_value,
     is_pure,
     mix,
+    uncertainty_bounds,
     uncertainty_check,
     variance,
 )
@@ -233,3 +242,111 @@ def test_state_family_separates_observables(rng):
             abs(expectation(s, a1) - expectation(s, a2)) for s in family
         )
         assert gap > 1e-8
+
+
+def per_draw_bounds(b, a1, a2):
+    """The per-draw arithmetic of the uncertainty check in plain numpy and
+    Python floats, as it was before the stack kernel: the reference the
+    kernel must match bit for bit."""
+
+    def var(a):
+        mean = complex(np.trace(b @ a)).real
+        second = complex(np.trace(b @ (a @ a))).real
+        v = second - mean * mean
+        return 0.0 if v < 0.0 else v
+
+    lhs = float(np.sqrt(var(a1)) * np.sqrt(var(a2)))
+    return lhs, abs(complex(np.trace(b @ (a1 @ a2 - a2 @ a1)))) / 2.0
+
+
+def draw_stacks(seed, size, n, commuting_rows=(), pure_rows=()):
+    """Random stacks; A2 = A1^2 on commuting rows, and on pure rows b is a
+    rank-one projection p and A2 = p, whose variance rounds to about +-1e-16."""
+    rng = np.random.default_rng(seed)
+    b = np.stack([density_matrix(rng, n, 1 if k in pure_rows else None)
+                  for k in range(size)])
+    a1 = np.stack([selfadjoint_matrix(rng, n) for _ in range(size)])
+    a2 = np.stack([a1[k] @ a1[k] if k in commuting_rows
+                   else b[k] if k in pure_rows else selfadjoint_matrix(rng, n)
+                   for k in range(size)])
+    return b, a1, a2
+
+
+class TestStacks:
+    @given(size=st.integers(1, 20), n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+           commuting=st.booleans(), pure=st.booleans())
+    def test_rows_match_the_scalar_check_bit_for_bit(self, size, n, seed, commuting, pure):
+        b, a1, a2 = draw_stacks(seed, size, n, commuting_rows={0} if commuting else (),
+                                pure_rows={size - 1} if pure else ())
+        lhs, rhs = uncertainty_bounds(b, a1, a2)
+        assert lhs.shape == rhs.shape == (size,)
+        for k in range(size):
+            rep = uncertainty_check(
+                DensityState(b[k]), AlgebraElement(a1[k]), AlgebraElement(a2[k])
+            )
+            assert (lhs[k], rhs[k]) == (rep.lhs, rep.rhs) == per_draw_bounds(b[k], a1[k], a2[k])
+
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("plant, error", [
+        ("trace", InvalidStateError),
+        ("sign", InvalidStateError),
+        ("asymmetry", InvalidStateError),
+        ("nan density", InvalidStateError),
+        ("a1 not self-adjoint", NonObservableError),
+        ("a2 not self-adjoint", NonObservableError),
+        ("a2 infinite", InvalidInputError),
+    ])
+    def test_bad_row_is_named(self, k, plant, error):
+        b, a1, a2 = draw_stacks(7, 5, 3)
+        if plant == "trace":
+            b[k] *= 1.5
+        elif plant == "sign":
+            b[k] = np.diag([1.5, -0.25, -0.25])
+        elif plant == "asymmetry":
+            b[k, 0, 1] += 1e-6
+        elif plant == "nan density":
+            b[k, 1, 1] = np.nan
+        elif plant == "a1 not self-adjoint":
+            a1[k, 0, 2] += 1e-6
+        elif plant == "a2 not self-adjoint":
+            a2[k, 2, 1] += 1j
+        else:
+            a2[k, 0, 0] = np.inf
+        with pytest.raises(error, match=rf"^row {k}: "):
+            uncertainty_bounds(b, a1, a2)
+
+    def test_variance_floor_names_the_row(self):
+        # an unchecked "density" with a large negative eigenvalue
+        b = np.stack([np.eye(2) / 2, np.diag([2.0, -1.0])]).astype(complex)
+        a = np.stack([np.diag([1.0, -1.0])] * 2)
+        with pytest.raises(InvalidStateError, match=r"^row 1: variance -8.0 below"):
+            _variances(b, a)
+
+    def test_dimension_mismatch(self):
+        b, a1, a2 = draw_stacks(3, 4, 3)
+        with pytest.raises(DimensionMismatchError):
+            uncertainty_bounds(b, a1[:, :2, :2], a2)
+        with pytest.raises(DimensionMismatchError):
+            uncertainty_bounds(b, a1, a2[:3])
+        with pytest.raises(InvalidStateError):
+            check_densities(b[0])
+
+    def test_one_batched_norm_pair_per_stack(self, monkeypatch):
+        b, a1, _ = draw_stacks(5, 16, 4)
+        calls = {"norm": 0, "eigvalsh": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        check_densities(b)
+        assert calls == {"norm": 2, "eigvalsh": 1}
+        check_observables(a1)
+        assert calls == {"norm": 4, "eigvalsh": 1}
+
+    def test_scalar_errors_name_no_row(self):
+        with pytest.raises(InvalidStateError, match=r"^trace must be 1"):
+            DensityState(np.eye(2))
