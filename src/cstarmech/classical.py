@@ -4,13 +4,15 @@ Observables are real functions of (q, p); the Poisson bracket is hard-coded
 in canonical (Darboux) coordinates and evaluated with central differences
 unless an analytic gradient is supplied. States with finite support model
 pure points and mixtures; Hamiltonian flow uses leapfrog for separable
-H = T(p) + V(q).
+H = T(p) + V(q), stepping raw (q, p) arrays that are checked as PhasePoint
+checks them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,6 +28,9 @@ __all__ = [
     "classical_expectation",
     "is_dispersion_free",
     "hamilton_flow",
+    "HARMONIC",
+    "BRACKET_RELATIONS",
+    "bracket_table",
 ]
 
 
@@ -50,6 +55,42 @@ class PhasePoint:
     def n(self) -> int:
         return self.q.size
 
+    @classmethod
+    def _checked(cls, q: np.ndarray, p: np.ndarray) -> "PhasePoint":
+        """A point from 1D float arrays that already passed the checks above."""
+        z = object.__new__(cls)
+        object.__setattr__(z, "q", q)
+        object.__setattr__(z, "p", p)
+        return z
+
+
+class _Point(NamedTuple):
+    """An unchecked (q, p), for observables evaluated inside the flow and the
+    finite differences on arrays that were checked as PhasePoint checks."""
+
+    q: np.ndarray
+    p: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.q.size
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all(), several times faster on the few entries of a
+    phase point."""
+    return all(map(math.isfinite, a.tolist()))
+
+
+def _coords(new: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """``new`` if the float arrays (new, other) pass PhasePoint's checks given
+    that ``other`` does, PhasePoint's error otherwise."""
+    if new.shape != other.shape:
+        raise InvalidInputError("q and p must be 1D arrays of equal length")
+    if not _all_finite(new):
+        raise InvalidInputError("phase point must be finite")
+    return new
+
 
 @dataclass(frozen=True)
 class ClassicalObservable:
@@ -64,7 +105,7 @@ class ClassicalObservable:
 
     def __call__(self, z: PhasePoint) -> float:
         val = float(self.evaluator(z))
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise EvaluationDomainError(f"observable {self.label!r} non-finite at z")
         return val
 
@@ -86,19 +127,24 @@ def _default_step(z: PhasePoint) -> float:
     return 1e-5 * scale
 
 
-def _gradient(a: ClassicalObservable, z: PhasePoint, h: float):
-    """(dA/dq, dA/dp) at z, analytic when available, else central differences."""
+def _gradient(a: ClassicalObservable, z, h: float | None):
+    """(dA/dq, dA/dp) at z, analytic when available, else central differences
+    with step h (``_default_step(z)`` when None)."""
     if a.gradient is not None:
         gq, gp = a.gradient(z)
         return np.asarray(gq, dtype=float), np.asarray(gp, dtype=float)
+    if h is None:
+        h = _default_step(z)
     n = z.n
     gq = np.empty(n)
     gp = np.empty(n)
     for i in range(n):
         dq = np.zeros(n)
         dq[i] = h
-        gq[i] = (a(PhasePoint(z.q + dq, z.p)) - a(PhasePoint(z.q - dq, z.p))) / (2 * h)
-        gp[i] = (a(PhasePoint(z.q, z.p + dq)) - a(PhasePoint(z.q, z.p - dq))) / (2 * h)
+        gq[i] = (a(_Point(_coords(z.q + dq, z.p), z.p))
+                 - a(_Point(_coords(z.q - dq, z.p), z.p))) / (2 * h)
+        gp[i] = (a(_Point(z.q, _coords(z.p + dq, z.q)))
+                 - a(_Point(z.q, _coords(z.p - dq, z.q)))) / (2 * h)
     return gq, gp
 
 
@@ -177,25 +223,60 @@ def hamilton_flow(
     if steps < 0:
         raise InvalidInputError("steps must be nonnegative")
 
-    def grads(z: PhasePoint):
-        h = fd_step if fd_step is not None else _default_step(z)
-        gq, gp = _gradient(h_obs, z, h)
-        if not (np.all(np.isfinite(gq)) and np.all(np.isfinite(gp))):
+    def force(q: np.ndarray, p: np.ndarray):
+        gq, gp = _gradient(h_obs, _Point(q, p), fd_step)
+        if not (_all_finite(gq) and _all_finite(gp)):
             raise EvaluationDomainError("non-finite force during flow")
         return gq, gp
 
-    traj = [z0]
+    # the state is checked as each new array is made, where the
+    # PhasePoint built from it would have checked it
     q, p = z0.q.copy(), z0.p.copy()
+    qs, ps = [], []
     for step in range(steps):
         try:
-            gq, _ = grads(PhasePoint(q, p))
-            p_half = p - 0.5 * dt * gq
-            _, gp = grads(PhasePoint(q, p_half))
-            q = q + dt * gp
-            gq, _ = grads(PhasePoint(q, p_half))
-            p = p_half - 0.5 * dt * gq
+            p_half = _coords(p - 0.5 * dt * force(q, p)[0], q)
+            q = _coords(q + dt * force(q, p_half)[1], p_half)
+            p = _coords(p_half - 0.5 * dt * force(q, p_half)[0], q)
         except EvaluationDomainError as exc:
             raise EvaluationDomainError(f"flow failed at step {step}: {exc}") from exc
-        traj.append(PhasePoint(q.copy(), p.copy()))
+        qs.append(q)
+        ps.append(p)
     times = dt * np.arange(steps + 1)
-    return times, traj
+    return times, [z0] + list(map(PhasePoint._checked, qs, ps))
+
+
+# (label, A, B, {A, B} as a function of z): canonical relations on R^6
+BRACKET_RELATIONS = (
+    ("{X,P_X}=1",
+     config_observable(lambda q: q[0], "X"),
+     momentum_observable(lambda q: np.array([1.0, 0.0, 0.0]), "P_X"),
+     lambda z: 1.0),
+    ("{Q,Q}=0",
+     config_observable(lambda q: q[0] ** 2 + q[1], "Q(f1)"),
+     config_observable(lambda q: np.sin(q[2]) + q[0] * q[1], "Q(f2)"),
+     lambda z: 0.0),
+    ("{L_X,L_Y}=L_Z",
+     momentum_observable(lambda q: np.array([0.0, -q[2], q[1]]), "L_X"),
+     momentum_observable(lambda q: np.array([q[2], 0.0, -q[0]]), "L_Y"),
+     momentum_observable(lambda q: np.array([-q[1], q[0], 0.0]), "L_Z")),
+)
+
+# H = (|p|^2 + |q|^2) / 2 with its analytic gradient
+HARMONIC = ClassicalObservable(
+    lambda z: 0.5 * float(z.p @ z.p + z.q @ z.q),
+    "harmonic",
+    gradient=lambda z: (z.q, z.p),
+)
+
+
+def bracket_table(points: int, rng: np.random.Generator) -> list:
+    """Rows (label, point, lhs, rhs, abs_err) of BRACKET_RELATIONS at
+    ``points`` phase points drawn uniformly from [-2, 2]^6, q before p."""
+    rows = []
+    for i in range(points):
+        z = PhasePoint(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3))
+        for label, a, b, rhs in BRACKET_RELATIONS:
+            lhs_val, rhs_val = poisson_bracket(a, b, z), rhs(z)
+            rows.append((label, i, lhs_val, rhs_val, abs(lhs_val - rhs_val)))
+    return rows

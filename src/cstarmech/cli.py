@@ -21,14 +21,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import AlgebraElement, generate_algebra
-from .classical import (
-    ClassicalObservable,
-    PhasePoint,
-    config_observable,
-    hamilton_flow,
-    momentum_observable,
-    poisson_bracket,
-)
+from .classical import HARMONIC, PhasePoint, bracket_table, hamilton_flow
 from .dynamics import (
     EvolutionConfig,
     RadialGrid,
@@ -319,48 +312,20 @@ _BRACKET_TOL = 1e-6
 
 
 def cmd_classical(cfg: dict, out: Path, seed: int) -> int:
-    points = _field(cfg, "points", int, 100)
-    rng = np.random.default_rng(seed)
-
-    x_obs = config_observable(lambda q: q[0], "X")
-    px_obs = momentum_observable(lambda q: np.array([1.0, 0.0, 0.0]), "P_X")
-    f1 = config_observable(lambda q: q[0] ** 2 + q[1], "Q(f1)")
-    f2 = config_observable(lambda q: np.sin(q[2]) + q[0] * q[1], "Q(f2)")
-    lx = momentum_observable(lambda q: np.array([0.0, -q[2], q[1]]), "L_X")
-    ly = momentum_observable(lambda q: np.array([q[2], 0.0, -q[0]]), "L_Y")
-    lz = momentum_observable(lambda q: np.array([-q[1], q[0], 0.0]), "L_Z")
-
-    rows = []
-    worst = 0.0
-    for i in range(points):
-        z = PhasePoint(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3))
-        for label, lhs_val, rhs_val in (
-            ("{X,P_X}=1", poisson_bracket(x_obs, px_obs, z), 1.0),
-            ("{Q,Q}=0", poisson_bracket(f1, f2, z), 0.0),
-            ("{L_X,L_Y}=L_Z", poisson_bracket(lx, ly, z), lz(z)),
-        ):
-            err = abs(lhs_val - rhs_val)
-            worst = max(worst, err)
-            rows.append((label, i, lhs_val, rhs_val, err))
-
+    rows = bracket_table(_field(cfg, "points", int, 100), np.random.default_rng(seed))
+    worst = max([0.0] + [row[-1] for row in rows])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["relation", "point", "lhs", "rhs", "abs_err"])
-    for label, i, lhs_val, rhs_val, err in rows:
-        writer.writerow([label, i, repr(lhs_val), repr(rhs_val), repr(err)])
+    for label, i, *values in rows:
+        writer.writerow([label, i, *map(repr, values)])
     (out / "bracket_table.csv").write_text(buf.getvalue())
 
     # harmonic trajectory with analytic gradients
-    h_obs = ClassicalObservable(
-        lambda z: 0.5 * float(z.p @ z.p + z.q @ z.q),
-        "harmonic",
-        gradient=lambda z: (z.q, z.p),
-    )
     dt = _field(cfg, "dt", float, 1e-2)
     steps = _field(cfg, "steps", int, 10000)
-    z0 = PhasePoint(np.array([1.0]), np.array([0.0]))
-    times, traj = hamilton_flow(h_obs, z0, dt, steps)
-    energies = np.array([h_obs(z) for z in traj])
+    times, traj = hamilton_flow(HARMONIC, PhasePoint([1.0], [0.0]), dt, steps)
+    energies = np.array([HARMONIC(z) for z in traj])
     csv_text = trajectory_to_csv(
         {
             "t": times,
@@ -417,9 +382,13 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     start = time.monotonic()
+    out = Path(args.out)
+    cfg_hash = seed = error = None
+    code = EXIT_CONFIG_ERROR
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        cfg_hash = _config_hash(cfg)
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
         if args.jobs < 1:
@@ -428,35 +397,37 @@ def main(argv=None) -> int:
         if seed < 0:
             raise ConfigError("seed must be >= 0")
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    try:
-        code = COMMANDS[args.command](cfg, out, seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except CstarmechError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        error = exc
+    else:
+        out.mkdir(parents=True, exist_ok=True)
+        try:
+            code = COMMANDS[args.command](cfg, out, seed)
+        except NumericalError as exc:
+            code, error = EXIT_NUMERICAL, exc
+        except (ConfigError, CstarmechError) as exc:
+            error = exc
+    if error is not None:
+        kind = "numerical failure" if code == EXIT_NUMERICAL else "config error"
+        print(f"{kind}: {error}", file=sys.stderr)
 
     manifest = {
         "command": args.command,
         "config_path": str(args.config),
-        "config_sha256": _config_hash(cfg),
+        "config_sha256": cfg_hash,
         "seed": seed,
         "out_dir": str(out),
         "version": __version__,
         "duration_s": round(time.monotonic() - start, 6),
         "exit_code": code,
+        "error": None if error is None else {"class": type(error).__name__,
+                                             "message": str(error)},
     }
-    dump_json(manifest, out / "manifest.json")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        dump_json(manifest, out / "manifest.json")
+    except OSError:
+        if error is None:
+            raise  # on a failed run the manifest is best effort
     if code == EXIT_CHECK_FAILED:
         print(f"{args.command}: contracted check failed", file=sys.stderr)
     return code

@@ -4,15 +4,16 @@ potential.
 Each picture has one integrator. One Strang-split FFT stepper (exactly
 unitary per step, second order in dt) yields the Schroedinger-picture
 states that plain runs, recorded trajectories and the Ehrenfest check
-read, the last two in one pass; one eigendecomposition propagator gives
-exact evolution of states and of observables (Heisenberg picture). The
-hydrogen check reduces to the l = 0 radial operator on an offset grid that
-never touches r = 0.
+read, the last two in one pass over blocks of states; one
+eigendecomposition propagator gives exact evolution of states and of
+observables (Heisenberg picture). The hydrogen check reduces to the l = 0
+radial operator on an offset grid that never touches r = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -199,20 +200,41 @@ def evolve_schrodinger(psi0: WaveFunction, cfg: EvolutionConfig) -> WaveFunction
     return WaveFunction(psi0.grid, psi)
 
 
+_BLOCK = 32  # Strang states per batched FFT: the diagnostics hold O(32 N) numbers
+
+
+def _strang_sums(psi0: WaveFunction, cfg: EvolutionConfig, x_weights, k_weights):
+    """Weighted sums over every Strang state psi at t = 0, dt, ..., steps * dt.
+
+    Returns (psi at t_final, nrm2, xs, ks), with nrm2[t] = sum |psi|^2 dx,
+    xs[i, t] = sum f_i |psi|^2 dx for f_i in x_weights, and ks[i, t] the same
+    over |fft(psi)|^2 with the Parseval weight dx / N for g_i in k_weights.
+    The states are read in blocks of _BLOCK rows, one FFT and one axis sum
+    per weight each; every row is reduced in the same order as on its own.
+    """
+    dx = psi0.grid.dx
+    w = dx / psi0.grid.N  # Parseval weight for the FFT convention
+    states = _strang_states(psi0, cfg)
+    nrm2, xs, ks = [], [], []
+    while block := list(islice(states, _BLOCK)):
+        rows, norms = zip(*block)
+        psi = np.array(rows)
+        dens, dens_hat = np.abs(psi) ** 2, np.abs(np.fft.fft(psi, axis=1)) ** 2
+        nrm2.extend(norms)
+        xs.append([np.sum(f * dens, axis=1) * dx for f in x_weights])
+        ks.append([np.sum(g * dens_hat, axis=1) * w for g in k_weights])
+    return rows[-1], np.array(nrm2), np.concatenate(xs, axis=1), np.concatenate(ks, axis=1)
+
+
 def run_trajectory(psi0: WaveFunction, cfg: EvolutionConfig):
     """Split-operator run recording <X>, <P>, <H>, and the norm per step."""
     grid = psi0.grid
-    x, k, dx = grid.points, grid.frequencies, grid.dx
-    w = dx / grid.N  # Parseval weight for the FFT convention
-    vvals = cfg.potential(x)
-    rows = []
-    for psi, nrm2 in _strang_states(psi0, cfg):
-        dens, dens_hat = np.abs(psi) ** 2, np.abs(np.fft.fft(psi)) ** 2
-        en = (np.sum(0.5 * k**2 * dens_hat) * w + np.sum(vvals * dens) * dx) / nrm2
-        rows.append((np.sum(x * dens) * dx / nrm2, np.sum(k * dens_hat) * w / nrm2,
-                     en, np.sqrt(nrm2)))
+    k = grid.frequencies
+    psi, nrm2, (x_sum, v_sum), (p_sum, t_sum) = _strang_sums(
+        psi0, cfg, (grid.points, cfg.potential(grid.points)), (k, 0.5 * k**2))
     times = cfg.dt * np.arange(cfg.steps + 1)
-    return WaveFunction(grid, psi), Trajectory(times, *np.array(rows).T)
+    return WaveFunction(grid, psi), Trajectory(
+        times, x_sum / nrm2, p_sum / nrm2, (t_sum + v_sum) / nrm2, np.sqrt(nrm2))
 
 
 def evolve_heisenberg(a0: AlgebraElement, h: AlgebraElement, t: float) -> AlgebraElement:
@@ -327,16 +349,11 @@ def ehrenfest_check(psi0: WaveFunction, cfg: EvolutionConfig) -> EhrenfestReport
         raise InvalidInputError("potential needs a derivative for the Ehrenfest check")
     if cfg.steps < 3:
         raise InvalidInputError("need at least 3 steps")
-    grid = psi0.grid
-    x, k, dx = grid.points, grid.frequencies, grid.dx
-    w = dx / grid.N  # Parseval weight for the FFT convention
+    x = psi0.grid.points
     vprime = np.asarray(cfg.potential.derivative(x), dtype=float)
-    rows = []
-    for psi, nrm2 in _strang_states(psi0, cfg):
-        dens, dens_hat = np.abs(psi) ** 2, np.abs(np.fft.fft(psi)) ** 2
-        rows.append((np.sum(x * dens) * dx / nrm2, np.sum(k * dens_hat) * w / nrm2,
-                     np.sum(vprime * dens) * dx / nrm2))
-    x_mean, p_mean, vp_means = np.array(rows).T
+    _, nrm2, (x_sum, vp_sum), (p_sum,) = _strang_sums(
+        psi0, cfg, (x, vprime), (psi0.grid.frequencies,))
+    x_mean, p_mean, vp_means = x_sum / nrm2, p_sum / nrm2, vp_sum / nrm2
 
     dxdt = (x_mean[2:] - x_mean[:-2]) / (2 * cfg.dt)
     dpdt = (p_mean[2:] - p_mean[:-2]) / (2 * cfg.dt)

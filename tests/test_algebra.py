@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cstarmech.algebra import (
     AlgebraElement,
@@ -162,6 +165,53 @@ class TestNormAxioms:
     def test_submultiplicative(self, rng):
         a, b = random_element(rng, 5), random_element(rng, 5)
         assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) + 1e-10
+
+
+@st.composite
+def elements(draw, count, selfadjoint):
+    """``count`` elements of one M_n, n in 1..5, with entries scaled by
+    10^-3..10^3 so that every bound is checked relative to the norms."""
+    n = draw(st.integers(1, 5))
+    parts = draw(hnp.arrays(float, (count, 2, n, n),
+                            elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    m = (parts[:, 0] + 1j * parts[:, 1]) * 10.0 ** draw(st.integers(-3, 3))
+    if selfadjoint:
+        m = (m + np.conj(np.swapaxes(m, 1, 2))) / 2
+    return [AlgebraElement(x) for x in m]
+
+
+REL = 1e-12  # relative to the squared norms compared
+
+
+class TestSegalAxioms:
+    """The C* identity and Segal's axioms for the observables (self-adjoint
+    elements) with the Jordan product a o b = ((a+b)^2 - (a-b)^2) / 4."""
+
+    @given(elements(1, selfadjoint=False))
+    def test_cstar_identity(self, elems):
+        (a,) = elems
+        norm_sq = operator_norm(a) ** 2
+        assert abs(operator_norm(adjoint(a) @ a) - norm_sq) <= REL * norm_sq
+
+    @given(elements(1, selfadjoint=True))
+    def test_square_norm_of_observable(self, elems):
+        (a,) = elems
+        norm_sq = operator_norm(a) ** 2
+        assert abs(operator_norm(a @ a) - norm_sq) <= REL * norm_sq
+
+    @given(elements(2, selfadjoint=True))
+    def test_difference_of_squares(self, elems):
+        a, b = elems
+        bound = max(operator_norm(a @ a), operator_norm(b @ b))
+        assert operator_norm(a @ a - b @ b) <= bound * (1 + REL)
+
+    @given(elements(2, selfadjoint=True))
+    def test_jordan_product(self, elems):
+        a, b = elems
+        jordan = ((a + b) @ (a + b) - (a - b) @ (a - b)) * 0.25
+        symmetrized = (a @ b + b @ a) * 0.5
+        scale = (operator_norm(a) + operator_norm(b)) ** 2
+        assert operator_norm(jordan - symmetrized) <= REL * scale
 
 
 def gesvd(m, full_matrices=True, compute_uv=True):

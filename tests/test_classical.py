@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cstarmech.classical import (
+    BRACKET_RELATIONS,
+    HARMONIC,
     ClassicalObservable,
     ClassicalState,
     PhasePoint,
+    bracket_table,
     classical_expectation,
     config_observable,
     hamilton_flow,
@@ -227,3 +232,146 @@ class TestHamiltonFlow:
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(InvalidInputError):
             hamilton_flow(harmonic_hamiltonian(), PhasePoint([1.0], [0.0]), dt=0.0, steps=1)
+
+
+def reference_flow(h_obs, z0, dt, steps, fd_step=None):
+    """The leapfrog as a plain loop over checked PhasePoints: one for every
+    force evaluation and every finite-difference probe."""
+
+    def grads(z):
+        if h_obs.gradient is not None:
+            gq, gp = (np.asarray(g, dtype=float) for g in h_obs.gradient(z))
+        else:
+            h = fd_step
+            if h is None:
+                scale = max(1.0, float(np.max(np.abs(z.q))), float(np.max(np.abs(z.p))))
+                h = 1e-5 * scale
+            gq, gp = np.empty(z.n), np.empty(z.n)
+            for i in range(z.n):
+                dq = np.zeros(z.n)
+                dq[i] = h
+                gq[i] = (h_obs(PhasePoint(z.q + dq, z.p))
+                         - h_obs(PhasePoint(z.q - dq, z.p))) / (2 * h)
+                gp[i] = (h_obs(PhasePoint(z.q, z.p + dq))
+                         - h_obs(PhasePoint(z.q, z.p - dq))) / (2 * h)
+        if not (np.all(np.isfinite(gq)) and np.all(np.isfinite(gp))):
+            raise EvaluationDomainError("non-finite force during flow")
+        return gq, gp
+
+    traj = [z0]
+    q, p = z0.q.copy(), z0.p.copy()
+    for step in range(steps):
+        try:
+            gq, _ = grads(PhasePoint(q, p))
+            p_half = p - 0.5 * dt * gq
+            _, gp = grads(PhasePoint(q, p_half))
+            q = q + dt * gp
+            gq, _ = grads(PhasePoint(q, p_half))
+            p = p_half - 0.5 * dt * gq
+        except EvaluationDomainError as exc:
+            raise EvaluationDomainError(f"flow failed at step {step}: {exc}") from exc
+        traj.append(PhasePoint(q.copy(), p.copy()))
+    return dt * np.arange(steps + 1), traj
+
+
+# V(q) and its gradient for H = |p|^2 / 2 + V(q), with a constant c
+POTENTIALS = {
+    "harmonic": (lambda q, c: 0.5 * c * float(q @ q), lambda q, c: c * q),
+    "quartic": (lambda q, c: 0.25 * c * float(np.sum(q**4)), lambda q, c: c * q**3),
+    "pendulum": (lambda q, c: -c * float(np.sum(np.cos(q))), lambda q, c: c * np.sin(q)),
+    # these overflow for large c or long runs
+    "exponential": (lambda q, c: float(np.sum(np.exp(c * q))) / c, lambda q, c: np.exp(c * q)),
+    "stiff": (lambda q, c: 0.5 * c * float(q @ q), lambda q, c: c * q),
+}
+
+
+def counted_hamiltonian(kind, c, analytic, calls):
+    """H of the given kind; every evaluation and gradient call is logged."""
+    v, dv = POTENTIALS[kind]
+
+    def value(z):
+        calls.append("H")
+        return 0.5 * float(z.p @ z.p) + v(z.q, c)
+
+    def gradient(z):
+        calls.append("dH")
+        return dv(z.q, c), z.p
+
+    return ClassicalObservable(value, "H", gradient if analytic else None)
+
+
+def outcome(flow, kind, c, analytic, z0, dt, steps, fd_step):
+    """Every bit of a flow's trajectory, or the error it raised, with the
+    calls it made to H before either."""
+    calls = []
+    h = counted_hamiltonian(kind, c, analytic, calls)
+    try:
+        with np.errstate(all="ignore"):
+            times, traj = flow(h, z0, dt, steps, fd_step)
+    except (EvaluationDomainError, InvalidInputError) as exc:
+        return type(exc), str(exc), calls
+    return times.tobytes(), [(z.q.tobytes(), z.p.tobytes()) for z in traj], calls
+
+
+@st.composite
+def flow_inputs(draw, kinds, constants, dts):
+    n = draw(st.integers(1, 3))
+    coords = st.lists(st.floats(-3.0, 3.0, allow_subnormal=False), min_size=n, max_size=n)
+    z0 = PhasePoint(draw(coords), draw(coords))
+    fd_step = draw(st.one_of(st.none(), st.floats(1e-7, 1e-3)))
+    return (draw(st.sampled_from(kinds)), draw(constants), draw(st.booleans()),
+            z0, draw(dts), draw(st.integers(0, 50)), fd_step)
+
+
+class TestFlowMatchesPhasePointLoop:
+    @given(flow_inputs(["harmonic", "quartic", "pendulum"], st.floats(0.1, 4.0),
+                       st.floats(1e-3, 0.2)))
+    def test_trajectory_bit_for_bit(self, args):
+        new = outcome(hamilton_flow, *args)
+        assert isinstance(new[0], bytes), new[:2]
+        assert new == outcome(reference_flow, *args)
+
+    @given(flow_inputs(["exponential", "stiff"],
+                       st.integers(0, 308).map(lambda e: 10.0**e), st.floats(1e-3, 4.0)))
+    def test_blow_up_raises_the_same_error_at_the_same_call(self, args):
+        assert outcome(hamilton_flow, *args) == outcome(reference_flow, *args)
+
+    @pytest.mark.parametrize("analytic, q0, dt, c", [
+        (True, 1.0, 4.0, 1e308),  # a finite force and an infinite kick
+        (False, 1.0, 4.0, 1e308),
+        (False, 1.79769e308, 0.1, 1.0),  # a finite-difference probe q + h overflows
+    ])
+    def test_overflow_is_invalid_input(self, analytic, q0, dt, c):
+        # the state is refused where a PhasePoint would refuse it
+        args = ("stiff", c, analytic, PhasePoint([q0], [0.0]), dt, 5, None)
+        for flow in (hamilton_flow, reference_flow):
+            kind, message, _ = outcome(flow, *args)
+            assert (kind, message) == (InvalidInputError, "phase point must be finite")
+        assert outcome(hamilton_flow, *args) == outcome(reference_flow, *args)
+
+    def test_returns_phase_points(self):
+        z0 = PhasePoint([1.0, 0.5], [0.0, -0.5])
+        times, traj = hamilton_flow(HARMONIC, z0, 0.1, 3)
+        assert traj[0] is z0
+        assert all(type(z) is PhasePoint and z.n == 2 for z in traj)
+        np.testing.assert_array_equal(times, 0.1 * np.arange(4))
+
+
+class TestBracketTable:
+    def test_rows_match_a_plain_loop(self):
+        rows = bracket_table(4, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        want = []
+        for i in range(4):
+            z = PhasePoint(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3))
+            for label, a, b, rhs in BRACKET_RELATIONS:
+                lhs_val = poisson_bracket(a, b, z)
+                want.append((label, i, lhs_val, rhs(z), abs(lhs_val - rhs(z))))
+        assert rows == want
+        assert [r[0] for r in rows[:3]] == ["{X,P_X}=1", "{Q,Q}=0", "{L_X,L_Y}=L_Z"]
+        assert max(r[-1] for r in rows) <= 1e-6
+
+    def test_right_hand_sides(self):
+        z = PhasePoint([0.5, -1.0, 2.0], [1.5, 0.25, -0.75])
+        rhs = [rhs(z) for *_, rhs in BRACKET_RELATIONS]
+        assert rhs == [1.0, 0.0, 0.5 * 0.25 - (-1.0) * 1.5]

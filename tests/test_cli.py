@@ -6,6 +6,7 @@ import pytest
 
 from cstarmech import cli
 from cstarmech.cli import main
+from cstarmech.errors import NumericalError
 from cstarmech.sampling import random_density, random_selfadjoint
 from cstarmech.serialization import dump_json, matrix_to_json, trajectory_to_csv
 from cstarmech.states import uncertainty_check
@@ -319,3 +320,77 @@ class TestHarness:
         assert (out1 / "uncertainty.csv").read_text() != (
             out2 / "uncertainty.csv"
         ).read_text()
+
+
+def read_manifest(out):
+    return json.loads((out / "manifest.json").read_text())
+
+
+class TestManifestOnEveryExit:
+    """Every run that got past argument parsing leaves a manifest with its
+    exit code and, on exits 2 and 3, the error's class and message."""
+
+    def test_exit_0(self, tmp_path):
+        code, out = run(tmp_path, "weyl", {"n": 4}, seed=5)
+        manifest = read_manifest(out)
+        assert code == manifest["exit_code"] == 0
+        assert manifest["error"] is None and manifest["seed"] == 5
+
+    def test_exit_1_check_failed(self, tmp_path, capsys):
+        cfg = {"kind": "grid", "grid": {"N": 128, "L": 16.0},
+               "potential": {"name": "harmonic"}, "k": 2,
+               "expect": {"values": [0.4, 1.4], "tol": 1e-6}}
+        code, out = run(tmp_path, "spectrum", cfg)
+        manifest = read_manifest(out)
+        assert code == manifest["exit_code"] == 1
+        assert manifest["error"] is None
+        assert len(manifest["config_sha256"]) == 64
+        assert capsys.readouterr().err == "spectrum: contracted check failed\n"
+
+    def test_exit_2_bad_config_value(self, tmp_path, capsys):
+        code, out = run(tmp_path, "uncertainty", {"dim": 1})
+        manifest = read_manifest(out)
+        assert code == manifest["exit_code"] == 2
+        message = "dim must be >= 2 and samples >= 1"
+        assert manifest["error"] == {"class": "ConfigError", "message": message}
+        assert manifest["config_sha256"] == cli._config_hash({"dim": 1})
+        assert manifest["seed"] == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_exit_2_library_refusal(self, tmp_path):
+        cfg = {"grid": {"N": 100, "L": 8.0}, "potential": {"name": "free"},
+               "dt": 0.1, "t_final": 1.0}
+        code, out = run(tmp_path, "evolve", cfg)
+        assert code == read_manifest(out)["exit_code"] == 2
+        assert read_manifest(out)["error"]["class"] == "InvalidInputError"
+
+    @pytest.mark.parametrize("text, kind", [(None, "FileNotFoundError"),
+                                            ("{not json", "JSONDecodeError"),
+                                            ("[1, 2]", "ConfigError")])
+    def test_exit_2_config_not_loaded(self, tmp_path, text, kind, capsys):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "o"
+        code = main(["weyl", "--config", str(path), "--out", str(out)])
+        manifest = read_manifest(out)
+        assert code == manifest["exit_code"] == 2
+        assert manifest["error"]["class"] == kind
+        assert manifest["seed"] is None
+        # a config that parsed is hashed even when it is refused
+        assert (manifest["config_sha256"] is None) == (kind != "ConfigError")
+        err = capsys.readouterr().err
+        assert err == f"config error: {manifest['error']['message']}\n"
+
+    def test_exit_3_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        def clock_shift(n):
+            raise NumericalError("eigensolver did not converge")
+
+        monkeypatch.setattr(cli, "clock_shift", clock_shift)
+        code, out = run(tmp_path, "weyl", {"n": 4})
+        manifest = read_manifest(out)
+        assert code == manifest["exit_code"] == 3
+        assert manifest["error"] == {"class": "NumericalError",
+                                     "message": "eigensolver did not converge"}
+        assert capsys.readouterr().err == "numerical failure: eigensolver did not converge\n"

@@ -342,6 +342,74 @@ class TestEhrenfest:
         )
 
 
+def per_step_diagnostics(psi0, config):
+    """<X>, <P>, <H>, the norm and <V'(X)> of every Strang state, one state
+    and one FFT at a time; the final state."""
+    grid = psi0.grid
+    x, k, dx = grid.points, grid.frequencies, grid.dx
+    w = dx / grid.N
+    vvals = config.potential(x)
+    vprime = config.potential.derivative(x)
+    rows = []
+    for psi, nrm2 in dynamics._strang_states(psi0, config):
+        dens, dens_hat = np.abs(psi) ** 2, np.abs(np.fft.fft(psi)) ** 2
+        en = (np.sum(0.5 * k**2 * dens_hat) * w + np.sum(vvals * dens) * dx) / nrm2
+        rows.append((np.sum(x * dens) * dx / nrm2, np.sum(k * dens_hat) * w / nrm2,
+                     en, np.sqrt(nrm2), np.sum(vprime * dens) * dx / nrm2))
+    return psi, np.array(rows).T
+
+
+def ehrenfest_gaps(x_mean, p_mean, vp_means, dt):
+    dxdt = (x_mean[2:] - x_mean[:-2]) / (2 * dt)
+    dpdt = (p_mean[2:] - p_mean[:-2]) / (2 * dt)
+    gap_x = float(np.max(np.abs(dxdt - p_mean[1:-1])))
+    gap_plus = float(np.max(np.abs(dpdt - vp_means[1:-1])))
+    gap_minus = float(np.max(np.abs(dpdt + vp_means[1:-1])))
+    if gap_minus <= gap_plus:
+        return gap_x, gap_minus, -1
+    return gap_x, gap_plus, +1
+
+
+class TestBatchedDiagnostics:
+    """The diagnostics read the Strang states in blocks of dynamics._BLOCK;
+    every block boundary gives the bits of the one-state-at-a-time sums."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 31, 32, 33, 67])
+    @pytest.mark.parametrize("potential, kw", [("quartic", {"a": 0.25}),
+                                               ("harmonic", {"omega": 1.3})])
+    def test_match_per_step_reference(self, steps, potential, kw, monkeypatch):
+        g = Grid1D(N=64, L=12.0)
+        psi0 = WaveFunction.gaussian(g, x0=0.8, p0=-0.4, sigma=0.8)
+        config = cfg(potential, dt=0.01, t_final=0.01 * steps, **kw)
+        psi_ref, (x_mean, p_mean, energy, norm, vp_means) = per_step_diagnostics(psi0, config)
+
+        ffts = []
+        fft = np.fft.fft
+
+        def logged_fft(a, *args, **kwargs):
+            ffts.append(np.shape(a))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", logged_fft)
+        psi, traj = run_trajectory(psi0, config)
+        assert psi.samples.tobytes() == psi_ref.tobytes()
+        for got, want in ((traj.times, 0.01 * np.arange(steps + 1)), (traj.x_mean, x_mean),
+                          (traj.p_mean, p_mean), (traj.energy, energy), (traj.norm, norm)):
+            assert got.tobytes() == want.tobytes()
+        # one FFT of at most _BLOCK rows per block, beside the stepper's own
+        blocks = [shape[0] for shape in ffts if len(shape) == 2]
+        assert blocks == [min(dynamics._BLOCK, steps + 1 - start)
+                          for start in range(0, steps + 1, dynamics._BLOCK)]
+
+        if steps < 3:
+            with pytest.raises(InvalidInputError):
+                ehrenfest_check(psi0, config)
+            return
+        rep = ehrenfest_check(psi0, config)
+        assert (rep.dX_dt_gap, rep.dP_dt_gap, rep.force_sign) == ehrenfest_gaps(
+            x_mean, p_mean, vp_means, config.dt)
+
+
 TIMES = st.floats(-3.0, 3.0, allow_subnormal=False)
 
 
