@@ -248,15 +248,8 @@ def cmd_evolve(cfg: dict, out: Path, seed: int) -> int:
         sigma=_field(init, "sigma", float, 1.0),
     )
     _, traj = run_trajectory(psi0, run)
-    csv_text = trajectory_to_csv(
-        {
-            "t": traj.times,
-            "x_mean": traj.x_mean,
-            "p_mean": traj.p_mean,
-            "energy": traj.energy,
-            "norm": traj.norm,
-        }
-    )
+    csv_text = trajectory_to_csv({"t": traj.times, "x_mean": traj.x_mean, "p_mean": traj.p_mean,
+                                  "energy": traj.energy, "norm": traj.norm})
     (out / "trajectory.csv").write_text(csv_text)
     norm_drift = float(np.abs(traj.norm - 1.0).max())
     e0 = traj.energy[0]
@@ -325,15 +318,11 @@ def cmd_classical(cfg: dict, out: Path, seed: int) -> int:
     dt = _field(cfg, "dt", float, 1e-2)
     steps = _field(cfg, "steps", int, 10000)
     times, traj = hamilton_flow(HARMONIC, PhasePoint([1.0], [0.0]), dt, steps)
-    energies = np.array([HARMONIC(z) for z in traj])
-    csv_text = trajectory_to_csv(
-        {
-            "t": times,
-            "q": np.array([z.q[0] for z in traj]),
-            "p": np.array([z.p[0] for z in traj]),
-            "H": energies,
-        }
-    )
+    q, p = np.array([(z.q[0], z.p[0]) for z in traj]).T
+    energies = 0.5 * (p * p + q * q)  # HARMONIC(z), bit for bit
+    if not (ok := np.isfinite(energies)).all():
+        HARMONIC(traj[ok.argmin()])  # raises its domain error
+    csv_text = trajectory_to_csv({"t": times, "q": q, "p": p, "H": energies})
     (out / "harmonic_trajectory.csv").write_text(csv_text)
     drift = float(np.abs(energies - energies[0]).max())
 
@@ -396,10 +385,10 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else _field(cfg, "seed", int, 0)
         if seed < 0:
             raise ConfigError("seed must be >= 0")
+        out.mkdir(parents=True, exist_ok=True)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         error = exc
     else:
-        out.mkdir(parents=True, exist_ok=True)
         try:
             code = COMMANDS[args.command](cfg, out, seed)
         except NumericalError as exc:

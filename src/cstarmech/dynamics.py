@@ -2,18 +2,18 @@
 potential.
 
 Each picture has one integrator. One Strang-split FFT stepper (exactly
-unitary per step, second order in dt) yields the Schroedinger-picture
-states that plain runs, recorded trajectories and the Ehrenfest check
-read, the last two in one pass over blocks of states; one
-eigendecomposition propagator gives exact evolution of states and of
-observables (Heisenberg picture). The hydrogen check reduces to the l = 0
-radial operator on an offset grid that never touches r = 0.
+unitary per step, second order in dt) writes the Schroedinger-picture
+states into blocks of 32 with one norm check per block; plain runs keep
+the last state, and recorded trajectories and the Ehrenfest check reduce
+each block as it comes. One eigendecomposition propagator gives exact
+evolution of states and of observables (Heisenberg picture). The hydrogen
+check reduces to the l = 0 radial operator on an offset grid that never
+touches r = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -140,12 +140,21 @@ def _require_normalized(psi0: WaveFunction):
         raise InvalidInputError("initial wave function must be normalized")
 
 
-def _strang_states(psi0: WaveFunction, cfg: EvolutionConfig):
-    """Yield (psi, sum |psi|^2 dx) at t = 0, dt, ..., steps * dt.
+_BLOCK = 32  # Strang states per block: the stepper and diagnostics hold O(32 N) numbers
+
+
+def _strang_blocks(psi0: WaveFunction, cfg: EvolutionConfig):
+    """Yield (states, dens, nrm2) for the Strang states at t = 0, dt, ...,
+    steps * dt, in fresh blocks of up to _BLOCK rows, with dens = |states|^2
+    and nrm2 = sum dens dx per row.
 
     Strang splitting exp(-i dt V/2) exp(-i dt P^2/2) exp(-i dt V/2), the
-    kinetic factor in Fourier space (Feit, Fleck & Steiger 1982); it is
-    unitary per step, so a norm drift beyond 1e-6 is a NumericalError.
+    kinetic factor in Fourier space (Feit, Fleck & Steiger 1982). Each step
+    writes straight into its row, with the operands of
+    half_v * ifft(kin * fft(half_v * psi)) in that order. It is unitary per
+    step, so a norm drift beyond 1e-6 is a NumericalError naming the first
+    step with one; the norms are checked once per block (t = 0 passes, as
+    _require_normalized holds it within 1e-8).
     """
     if cfg.method != "split-operator":
         raise InvalidInputError(f"Strang stepping cannot run method {cfg.method!r}")
@@ -153,14 +162,28 @@ def _strang_states(psi0: WaveFunction, cfg: EvolutionConfig):
     dx = psi0.grid.dx
     half_v = np.exp(-0.5j * cfg.dt * cfg.potential(psi0.grid.points))
     kin = np.exp(-0.5j * cfg.dt * psi0.grid.frequencies**2)
-    psi = psi0.samples
-    yield psi, np.sum(np.abs(psi) ** 2) * dx
-    for step in range(cfg.steps):
-        psi = half_v * np.fft.ifft(kin * np.fft.fft(half_v * psi))
-        nrm2 = np.sum(np.abs(psi) ** 2) * dx
-        if abs(np.sqrt(nrm2) - 1.0) > 1e-6:
-            raise NumericalError(f"norm drifted to {np.sqrt(nrm2)} at step {step + 1}")
-        yield psi, nrm2
+    n, total = psi0.grid.N, cfg.steps + 1
+    buf = np.empty(n, dtype=complex)
+    for start in range(0, total, _BLOCK):
+        states = np.empty((min(_BLOCK, total - start), n), dtype=complex)
+        rows = iter(states)
+        if start == 0:
+            psi = next(rows)
+            psi[:] = psi0.samples
+        for row in rows:
+            np.multiply(half_v, psi, out=buf)
+            np.fft.fft(buf, out=buf)
+            np.multiply(kin, buf, out=buf)
+            np.fft.ifft(buf, out=row)
+            np.multiply(half_v, row, out=row)
+            psi = row
+        dens = np.abs(states) ** 2
+        nrm2 = np.sum(dens, axis=1) * dx
+        drift = np.abs(np.sqrt(nrm2) - 1.0) > 1e-6
+        if drift.any():
+            i = int(drift.argmax())
+            raise NumericalError(f"norm drifted to {np.sqrt(nrm2[i])} at step {start + i}")
+        yield states, dens, nrm2
 
 
 class _Propagator:
@@ -195,12 +218,9 @@ def evolve_schrodinger(psi0: WaveFunction, cfg: EvolutionConfig) -> WaveFunction
         _require_normalized(psi0)
         prop = _Propagator(build_hamiltonian(psi0.grid, cfg.potential))
         return WaveFunction(psi0.grid, prop.state(psi0.samples, cfg.t_final))
-    for psi, _ in _strang_states(psi0, cfg):
+    for states, _, _ in _strang_blocks(psi0, cfg):
         pass
-    return WaveFunction(psi0.grid, psi)
-
-
-_BLOCK = 32  # Strang states per batched FFT: the diagnostics hold O(32 N) numbers
+    return WaveFunction(psi0.grid, states[-1].copy())
 
 
 def _strang_sums(psi0: WaveFunction, cfg: EvolutionConfig, x_weights, k_weights):
@@ -209,21 +229,19 @@ def _strang_sums(psi0: WaveFunction, cfg: EvolutionConfig, x_weights, k_weights)
     Returns (psi at t_final, nrm2, xs, ks), with nrm2[t] = sum |psi|^2 dx,
     xs[i, t] = sum f_i |psi|^2 dx for f_i in x_weights, and ks[i, t] the same
     over |fft(psi)|^2 with the Parseval weight dx / N for g_i in k_weights.
-    The states are read in blocks of _BLOCK rows, one FFT and one axis sum
+    The stepper's blocks are read as they come, one FFT and one axis sum
     per weight each; every row is reduced in the same order as on its own.
     """
     dx = psi0.grid.dx
     w = dx / psi0.grid.N  # Parseval weight for the FFT convention
-    states = _strang_states(psi0, cfg)
     nrm2, xs, ks = [], [], []
-    while block := list(islice(states, _BLOCK)):
-        rows, norms = zip(*block)
-        psi = np.array(rows)
-        dens, dens_hat = np.abs(psi) ** 2, np.abs(np.fft.fft(psi, axis=1)) ** 2
-        nrm2.extend(norms)
+    for states, dens, norms in _strang_blocks(psi0, cfg):
+        dens_hat = np.abs(np.fft.fft(states, axis=1)) ** 2
+        nrm2.append(norms)
         xs.append([np.sum(f * dens, axis=1) * dx for f in x_weights])
         ks.append([np.sum(g * dens_hat, axis=1) * w for g in k_weights])
-    return rows[-1], np.array(nrm2), np.concatenate(xs, axis=1), np.concatenate(ks, axis=1)
+    return (states[-1].copy(), np.concatenate(nrm2),
+            np.concatenate(xs, axis=1), np.concatenate(ks, axis=1))
 
 
 def run_trajectory(psi0: WaveFunction, cfg: EvolutionConfig):

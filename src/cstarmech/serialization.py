@@ -103,10 +103,10 @@ def trajectory_to_csv(columns: dict) -> str:
     if any(a.shape != arrays[0].shape for a in arrays):
         raise InvalidInputError("all trajectory columns must have equal length")
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(names)
-    for row in zip(*arrays):
-        writer.writerow([repr(float(v)) for v in row])
+    csv.writer(buf, lineterminator="\n").writerow(names)
+    # a float repr never needs CSV quoting, so the rows skip csv.writer
+    cols = [map(repr, map(float, a.tolist())) for a in arrays]
+    buf.writelines(",".join(row) + "\n" for row in zip(*cols))
     return buf.getvalue()
 
 

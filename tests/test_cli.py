@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cstarmech import cli
+from cstarmech.classical import HARMONIC, PhasePoint, hamilton_flow
 from cstarmech.cli import main
 from cstarmech.errors import NumericalError
 from cstarmech.sampling import random_density, random_selfadjoint
@@ -252,6 +253,28 @@ class TestClassical:
         assert (out / "bracket_table.csv").exists()
         assert (out / "harmonic_trajectory.csv").exists()
 
+    def test_trajectory_columns_match_the_observable(self, tmp_path):
+        # the H column holds HARMONIC(z) of every point, bit for bit
+        code, out = run(tmp_path, "classical", {"points": 2, "dt": 0.02, "steps": 150})
+        assert code == 0
+        times, traj = hamilton_flow(HARMONIC, PhasePoint([1.0], [0.0]), 0.02, 150)
+        want = trajectory_to_csv({"t": times, "q": [z.q[0] for z in traj],
+                                  "p": [z.p[0] for z in traj],
+                                  "H": [HARMONIC(z) for z in traj]})
+        assert (out / "harmonic_trajectory.csv").read_text() == want
+
+    def test_energy_overflow_is_the_observables_domain_error(self, tmp_path, capsys):
+        # an unstable leapfrog (dt = 2.5) keeps finite coordinates past 1e154,
+        # where (p^2 + q^2) / 2 overflows
+        with np.errstate(over="ignore"):
+            code, out = run(tmp_path, "classical", {"points": 2, "dt": 2.5, "steps": 370})
+        message = "observable 'harmonic' non-finite at z"
+        assert code == read_manifest(out)["exit_code"] == 2
+        assert read_manifest(out)["error"] == {"class": "EvaluationDomainError",
+                                               "message": message}
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (out / "harmonic_trajectory.csv").exists()
+
 
 class TestHarness:
     def test_missing_config_file(self, tmp_path):
@@ -382,6 +405,17 @@ class TestManifestOnEveryExit:
         assert (manifest["config_sha256"] is None) == (kind != "ConfigError")
         err = capsys.readouterr().err
         assert err == f"config error: {manifest['error']['message']}\n"
+
+    def test_exit_2_out_names_a_file(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, {"n": 4})
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        code = main(["weyl", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        # the file is left alone and the manifest, best effort, is skipped
+        assert out.read_text() == "a file, not a directory"
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [Errno") and str(out) in err
 
     def test_exit_3_numerical_failure(self, tmp_path, monkeypatch, capsys):
         def clock_shift(n):

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from cstarmech.dynamics import (
     radial_hydrogen_spectrum,
     run_trajectory,
 )
-from cstarmech.errors import DimensionMismatchError, InvalidInputError
+from cstarmech.errors import DimensionMismatchError, InvalidInputError, NumericalError
 from cstarmech.sampling import random_selfadjoint
 from cstarmech.weyl import Grid1D, WaveFunction
 
@@ -342,6 +344,23 @@ class TestEhrenfest:
         )
 
 
+def strang_states(psi0, config, scale_from=None):
+    """Every Strang state at t = 0, dt, ..., steps * dt from a plain numpy
+    loop, one state and one FFT at a time. From step ``scale_from`` on, each
+    inverse FFT is scaled by 1 + 1e-5."""
+    x, k, dt = psi0.grid.points, psi0.grid.frequencies, config.dt
+    half_v = np.exp(-0.5j * dt * config.potential(x))
+    kin = np.exp(-0.5j * dt * k**2)
+    psi = psi0.samples
+    yield psi
+    for step in range(1, config.steps + 1):
+        inner = np.fft.ifft(kin * np.fft.fft(half_v * psi))
+        if scale_from is not None and step >= scale_from:
+            inner *= 1 + 1e-5
+        psi = half_v * inner
+        yield psi
+
+
 def per_step_diagnostics(psi0, config):
     """<X>, <P>, <H>, the norm and <V'(X)> of every Strang state, one state
     and one FFT at a time; the final state."""
@@ -351,8 +370,9 @@ def per_step_diagnostics(psi0, config):
     vvals = config.potential(x)
     vprime = config.potential.derivative(x)
     rows = []
-    for psi, nrm2 in dynamics._strang_states(psi0, config):
+    for psi in strang_states(psi0, config):
         dens, dens_hat = np.abs(psi) ** 2, np.abs(np.fft.fft(psi)) ** 2
+        nrm2 = np.sum(dens) * dx
         en = (np.sum(0.5 * k**2 * dens_hat) * w + np.sum(vvals * dens) * dx) / nrm2
         rows.append((np.sum(x * dens) * dx / nrm2, np.sum(k * dens_hat) * w / nrm2,
                      en, np.sqrt(nrm2), np.sum(vprime * dens) * dx / nrm2))
@@ -376,7 +396,7 @@ class TestBatchedDiagnostics:
 
     @pytest.mark.parametrize("steps", [0, 1, 31, 32, 33, 67])
     @pytest.mark.parametrize("potential, kw", [("quartic", {"a": 0.25}),
-                                               ("harmonic", {"omega": 1.3})])
+                                               ("harmonic", {"omega": 1.3}), ("free", {})])
     def test_match_per_step_reference(self, steps, potential, kw, monkeypatch):
         g = Grid1D(N=64, L=12.0)
         psi0 = WaveFunction.gaussian(g, x0=0.8, p0=-0.4, sigma=0.8)
@@ -390,6 +410,7 @@ class TestBatchedDiagnostics:
             ffts.append(np.shape(a))
             return fft(a, *args, **kwargs)
 
+        assert evolve_schrodinger(psi0, config).samples.tobytes() == psi_ref.tobytes()
         monkeypatch.setattr(np.fft, "fft", logged_fft)
         psi, traj = run_trajectory(psi0, config)
         assert psi.samples.tobytes() == psi_ref.tobytes()
@@ -408,6 +429,44 @@ class TestBatchedDiagnostics:
         rep = ehrenfest_check(psi0, config)
         assert (rep.dX_dt_gap, rep.dP_dt_gap, rep.force_sign) == ehrenfest_gaps(
             x_mean, p_mean, vp_means, config.dt)
+
+
+class TestBlockStepper:
+    """The stepper writes its states into blocks of dynamics._BLOCK rows and
+    checks their norms once per block."""
+
+    GRID = Grid1D(N=64, L=12.0)
+
+    def psi0(self):
+        return WaveFunction.gaussian(self.GRID, x0=0.8, p0=-0.4, sigma=0.8)
+
+    def test_returned_states_own_their_memory(self):
+        config = cfg(dt=0.01, t_final=0.4)
+        out = evolve_schrodinger(self.psi0(), config)
+        final, _ = run_trajectory(self.psi0(), config)
+        assert out.samples.base is None and final.samples.base is None
+
+    # k = 32 of 32 steps drifts first in a block of one row
+    @pytest.mark.parametrize("k, steps", [(1, 67), (31, 67), (32, 67), (33, 67), (32, 32)])
+    @pytest.mark.parametrize("run", [evolve_schrodinger, run_trajectory, ehrenfest_check])
+    def test_forced_drift_names_the_first_step(self, k, steps, run, monkeypatch):
+        config = cfg(dt=0.01, t_final=0.01 * steps)
+        psi = next(islice(strang_states(self.psi0(), config, scale_from=k), k, None))
+        nrm = np.sqrt(np.sum(np.abs(psi) ** 2) * self.GRID.dx)
+        calls = []
+        ifft = np.fft.ifft
+
+        def drifting_ifft(a, *args, out=None, **kwargs):
+            calls.append(None)
+            res = ifft(a, *args, out=out, **kwargs)
+            if len(calls) >= k:
+                res *= 1 + 1e-5
+            return res
+
+        monkeypatch.setattr(np.fft, "ifft", drifting_ifft)
+        with pytest.raises(NumericalError) as exc:
+            run(self.psi0(), config)
+        assert str(exc.value) == f"norm drifted to {nrm} at step {k}"
 
 
 TIMES = st.floats(-3.0, 3.0, allow_subnormal=False)

@@ -1,7 +1,12 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cstarmech.algebra import AlgebraElement
 from cstarmech.errors import InvalidInputError
@@ -82,7 +87,49 @@ class TestWaveFunctionCsv:
             wavefunction_from_csv(body, meta)
 
 
+def reference_trajectory_csv(columns: dict) -> str:
+    """trajectory_to_csv's bytes, one csv.writer row at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(columns))
+    for row in zip(*(np.asarray(c) for c in columns.values())):
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue()
+
+
+EDGE_FLOATS = st.sampled_from(
+    [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 0.2])
+
+
+@st.composite
+def csv_columns(draw):
+    """Equal-length float and int columns, zero rows included."""
+    rows = draw(st.integers(0, 12))
+    columns = {}
+    for i in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            elements = st.floats(allow_nan=True, allow_infinity=True) | EDGE_FLOATS
+            columns[f"f{i}"] = draw(hnp.arrays(float, rows, elements=elements))
+        else:
+            columns[f"i{i}"] = draw(hnp.arrays(np.int64, rows))
+    return columns
+
+
 class TestTrajectoryCsv:
+    @given(csv_columns())
+    def test_matches_row_by_row_csv_writer(self, columns):
+        assert trajectory_to_csv(columns) == reference_trajectory_csv(columns)
+
+    def test_edge_floats_match_reference(self):
+        vals = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308]
+        columns = {"v": np.array(vals), "n": np.arange(6)}
+        text = trajectory_to_csv(columns)
+        assert text == reference_trajectory_csv(columns)
+        assert text.split("\n")[1:4] == ["nan,0.0", "inf,1.0", "-inf,2.0"]
+
+    def test_zero_rows_is_header_only(self):
+        assert trajectory_to_csv({"t": [], "x": []}) == "t,x\n"
+
     def test_layout(self):
         text = trajectory_to_csv({"t": [0.0, 0.1], "x": [1.0, 2.0]})
         lines = text.strip().split("\n")
