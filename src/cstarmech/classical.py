@@ -230,18 +230,20 @@ def hamilton_flow(
         return gq, gp
 
     # the state is checked as each new array is made, where the
-    # PhasePoint built from it would have checked it
+    # PhasePoint built from it would have checked it; _coords refuses an
+    # overflowed (non-finite) array, so numpy need not warn about it too
     q, p = z0.q.copy(), z0.p.copy()
     qs, ps = [], []
-    for step in range(steps):
-        try:
-            p_half = _coords(p - 0.5 * dt * force(q, p)[0], q)
-            q = _coords(q + dt * force(q, p_half)[1], p_half)
-            p = _coords(p_half - 0.5 * dt * force(q, p_half)[0], q)
-        except EvaluationDomainError as exc:
-            raise EvaluationDomainError(f"flow failed at step {step}: {exc}") from exc
-        qs.append(q)
-        ps.append(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            try:
+                p_half = _coords(p - 0.5 * dt * force(q, p)[0], q)
+                q = _coords(q + dt * force(q, p_half)[1], p_half)
+                p = _coords(p_half - 0.5 * dt * force(q, p_half)[0], q)
+            except EvaluationDomainError as exc:
+                raise EvaluationDomainError(f"flow failed at step {step}: {exc}") from exc
+            qs.append(q)
+            ps.append(p)
     times = dt * np.arange(steps + 1)
     return times, [z0] + list(map(PhasePoint._checked, qs, ps))
 

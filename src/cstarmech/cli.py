@@ -116,7 +116,8 @@ def cmd_uncertainty(cfg: dict, out: Path, seed: int) -> int:
     margin = lhs - rhs
     csv_text = trajectory_to_csv({"lhs": lhs, "rhs": rhs, "margin": margin})
     (out / "uncertainty.csv").write_text(csv_text)
-    violations = int(np.sum(margin < -1e-10))
+    tols = {"violation_tol": 1e-10}
+    violations = int(np.sum(margin < -tols["violation_tol"]))
     summary = {
         "dim": dim,
         "samples": samples,
@@ -125,8 +126,8 @@ def cmd_uncertainty(cfg: dict, out: Path, seed: int) -> int:
     }
     dump_json(summary, out / "summary.json")
     cfg_hash = _config_hash(cfg)
-    _sidecar(out / "uncertainty.csv", {"violation_tol": 1e-10}, cfg_hash)
-    _sidecar(out / "summary.json", {"violation_tol": 1e-10}, cfg_hash)
+    for name in ("uncertainty.csv", "summary.json"):
+        _sidecar(out / name, tols, cfg_hash)
     return EXIT_OK if violations == 0 else EXIT_CHECK_FAILED
 
 
@@ -144,12 +145,8 @@ def cmd_gns(cfg: dict, out: Path, seed: int) -> int:
     omega = AbstractState.from_density(basis, density)
     result = gns_construct(omega)
 
-    recon = np.array(
-        [
-            np.vdot(result.cyclic_vector, r @ result.cyclic_vector)
-            for r in result.rep
-        ]
-    )
+    psi = result.cyclic_vector
+    recon = np.array([np.vdot(psi, r @ psi) for r in result.rep])
     recon_err = float(np.abs(recon - omega.values).max())
     irreducible = is_irreducible(result.rep)
     pure = omega.is_pure()
@@ -164,9 +161,9 @@ def cmd_gns(cfg: dict, out: Path, seed: int) -> int:
     dump_json(verdicts, out / "verdicts.json")
     cfg_hash = _config_hash(cfg)
     _sidecar(out / "gns_result.json", {"rank_tol": result.gram_rank_tol}, cfg_hash)
-    _sidecar(out / "verdicts.json", {"reconstruction_tol": 1e-9}, cfg_hash)
-
-    ok = recon_err <= 1e-9 and irreducible == pure
+    tols = {"reconstruction_tol": 1e-9}
+    _sidecar(out / "verdicts.json", tols, cfg_hash)
+    ok = recon_err <= tols["reconstruction_tol"] and irreducible == pure
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -258,9 +255,9 @@ def cmd_evolve(cfg: dict, out: Path, seed: int) -> int:
     dump_json(summary, out / "evolve_summary.json")
     cfg_hash = _config_hash(cfg)
     tols = {"norm_drift": 1e-8, "energy_drift_rel": 1e-6}
-    _sidecar(out / "trajectory.csv", tols, cfg_hash)
-    _sidecar(out / "evolve_summary.json", tols, cfg_hash)
-    ok = norm_drift <= 1e-8 and energy_drift <= 1e-6
+    for name in ("trajectory.csv", "evolve_summary.json"):
+        _sidecar(out / name, tols, cfg_hash)
+    ok = all(summary[name] <= tols[name] for name in tols)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -301,9 +298,6 @@ def cmd_spectrum(cfg: dict, out: Path, seed: int) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-_BRACKET_TOL = 1e-6
-
-
 def cmd_classical(cfg: dict, out: Path, seed: int) -> int:
     rows = bracket_table(_field(cfg, "points", int, 100), np.random.default_rng(seed))
     worst = max([0.0] + [row[-1] for row in rows])
@@ -331,10 +325,10 @@ def cmd_classical(cfg: dict, out: Path, seed: int) -> int:
         out / "classical_summary.json",
     )
     cfg_hash = _config_hash(cfg)
-    tols = {"bracket_tol": _BRACKET_TOL, "energy_drift_tol": 1e-4}
+    tols = {"bracket_tol": 1e-6, "energy_drift_tol": 1e-4}
     for name in ("bracket_table.csv", "harmonic_trajectory.csv", "classical_summary.json"):
         _sidecar(out / name, tols, cfg_hash)
-    ok = worst <= _BRACKET_TOL and drift < 1e-4
+    ok = worst <= tols["bracket_tol"] and drift < tols["energy_drift_tol"]
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

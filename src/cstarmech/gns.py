@@ -7,6 +7,11 @@ The construction works on an orthonormal, multiplicatively closed
 elements; the Gram matrix G_jk = omega(A_j* A_k) then determines the
 Hilbert space as the quotient of the coefficient space by the null space
 of G.
+
+Every Sylvester solve (both commutant paths and the intertwiner space)
+goes through one builder, ``_sylvester_null``, and the one restriction,
+``_block_restriction``, hands it the eigen-blocks of a normal rep element
+(Murota, Kanno, Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010).
 """
 
 from __future__ import annotations
@@ -139,8 +144,8 @@ def gns_construct(omega: AbstractState, rank_tol: float = 1e-10) -> GnsResult:
     basis = omega.basis
     struct = structure_tensor(basis, basis.tol)
     g = omega.gram(struct)
-    herm_err = np.linalg.norm(g - g.conj().T, 2)
-    if herm_err > 1e-10 * max(np.linalg.norm(g, 2), 1.0):
+    herm_err, g_norm = _operator_norms(np.stack([g - g.conj().T, g]))
+    if herm_err > 1e-10 * max(g_norm, 1.0):
         raise InvalidStateError(f"Gram matrix not Hermitian (error {herm_err:.2e})")
     g = (g + g.conj().T) / 2
 
@@ -183,44 +188,6 @@ def gns_construct(omega: AbstractState, rank_tol: float = 1e-10) -> GnsResult:
     )
 
 
-def _sylvester_stack(rep) -> np.ndarray:
-    """Stacked linear maps M -> rho_j M - M rho_j, column-major vec."""
-    mats = [np.asarray(r, dtype=complex) for r in rep]
-    h = mats[0].shape[0]
-    eye = np.eye(h)
-    blocks = [np.kron(eye, r) - np.kron(r.T, eye) for r in mats]
-    return np.vstack(blocks)
-
-
-def _block_restriction(mats, tol):
-    """Eigenbasis of a normal rep element with the most eigenvalue clusters.
-
-    Anything commuting with that element is block diagonal in this basis,
-    so the Sylvester search can run on in-block coordinates only. Returns
-    (Z, pairs) or None when no element restricts the problem.
-    """
-    from .spectral import _cluster  # deferred: spectral does not need gns
-
-    h = mats[0].shape[0]
-    best = None
-    for m in mats:
-        nrm = max(np.linalg.norm(m, 2), 1.0)
-        if np.linalg.norm(m @ m.conj().T - m.conj().T @ m, 2) > 1e-12 * nrm**2:
-            continue
-        t, z = scipy.linalg.schur(m, output="complex")
-        vals = np.diag(t)
-        _, groups = _cluster(vals, max(1e-8 * nrm, 1e-12))
-        if len(groups) > 1 and (best is None or len(groups) > best[2]):
-            best = (z, groups, len(groups))
-    if best is None:
-        return None
-    z, groups, _ = best
-    pairs = [(a, b) for g in groups for a in g for b in g]
-    if len(pairs) == h * h:
-        return None
-    return z, pairs
-
-
 def _null_space(stack: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal null vectors of ``stack``, one per row.
 
@@ -235,88 +202,90 @@ def _null_space(stack: np.ndarray, tol: float) -> np.ndarray:
     return vh[null_mask].conj()
 
 
-def _two_element_commutant(mats: np.ndarray, tol: float):
-    """Commutant of a (k, h, h) stack through two random combinations.
+def _sylvester_null(left, right, tol: float, z=None, pairs=None) -> np.ndarray:
+    """Orthonormal basis, as an (r, h, h) stack, of the M with
+    right_j M = M left_j for every j of two (k, h, h) stacks.
 
-    The null space of the Sylvester stack of X and Y contains the
-    commutant, because X and Y lie in the span of ``mats``. Returns it only
-    if every candidate M passes sqrt(sum_j ||rho_j M - M rho_j||_F^2)
-    <= tol * max(1, l), else None. l = ||S||_F / h, with ||S||_F^2 =
-    sum_j (2h ||rho_j||_F^2 - 2 |tr rho_j|^2), bounds the full stack S's
-    largest singular value from below (S has rank < h^2), so the check is
-    never looser than the full-stack threshold.
+    M = Z X Z* with X supported on the index pairs ``pairs = (a, b)``
+    (default: Z = I and every pair). Column p of the stacked system is
+    right~_j E_ab - E_ab left~_j, with right~ = Z* right Z, left~ = Z* left Z.
     """
+    k, h = left.shape[:2]
+    if z is not None:
+        left, right = z.conj().T @ left @ z, z.conj().T @ right @ z
+    a, b = np.indices((h, h)).reshape(2, -1) if pairs is None else pairs
+    col = np.arange(a.size)
+    stack = np.zeros((k, h, h, a.size), dtype=complex)
+    stack[:, :, b, col] = right[:, :, a]  # right E_ab: column b is right's column a
+    stack[:, a, :, col] -= left[:, b, :].swapaxes(0, 1)  # E_ab left: row a is left's row b
+    null = _null_space(stack.reshape(-1, a.size), tol)
+    x = np.zeros((len(null), h, h), dtype=complex)
+    x[:, a, b] = null
+    return x if z is None else z @ x @ z.conj().T
+
+
+def _block_restriction(mats: np.ndarray):
+    """Eigenbasis Z of a normal rep element with the most eigenvalue
+    clusters, and the index pairs (a, b) inside one cluster.
+
+    Anything commuting with that element is block diagonal in this basis,
+    so the Sylvester search can run on in-block coordinates only. Without
+    such an element, Z is the identity and every pair is returned.
+    """
+    from .spectral import _cluster  # deferred: spectral does not need gns
+
     k, h = mats.shape[:2]
-    rng = np.random.default_rng(0)
-    coef = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
-    x, y = np.tensordot(coef, mats, axes=1)
-    # column-major vec: row v of the null space is the matrix v.reshape(h, h).T
-    cands = _null_space(_sylvester_stack([x, y]), tol).reshape(-1, h, h).transpose(0, 2, 1)
-
-    resid_sq = np.zeros(len(cands))
-    for m in mats:
-        resid_sq += (np.abs(m @ cands - cands @ m) ** 2).sum(axis=(1, 2))
-    fro_sq = (np.abs(mats) ** 2).sum(axis=(1, 2))
-    traces = np.trace(mats, axis1=1, axis2=2)
-    ell = np.sqrt((2 * h * fro_sq - 2 * np.abs(traces) ** 2).sum()) / h
-    if np.all(resid_sq <= (tol * max(1.0, ell)) ** 2):
-        return list(cands)
-    return None
-
-
-def _full_commutant(mats, tol: float) -> list[np.ndarray]:
-    """Commutant from the Sylvester stack of every rep matrix.
-
-    When a normal rep element has a spread spectrum, the system is first
-    restricted to its eigen-blocks.
-    """
-    h = mats[0].shape[0]
-    restriction = _block_restriction(mats, tol)
-    if restriction is None:
-        return [v.reshape(h, h, order="F") for v in _null_space(_sylvester_stack(mats), tol)]
-
-    z, pairs = restriction
-    tilde = [z.conj().T @ m @ z for m in mats]
-    cols = []
-    for a, b in pairs:
-        col = np.empty(len(mats) * h * h, dtype=complex)
-        for j, m in enumerate(tilde):
-            block = np.zeros((h, h), dtype=complex)
-            block[:, b] += m[:, a]   # rho E_ab
-            block[a, :] -= m[b, :]   # E_ab rho
-            col[j * h * h : (j + 1) * h * h] = block.ravel(order="F")
-        cols.append(col)
-    result = []
-    for v in _null_space(np.stack(cols, axis=1), tol):
-        mt = np.zeros((h, h), dtype=complex)
-        for c, (a, b) in zip(v, pairs):
-            mt[a, b] = c
-        result.append(z @ mt @ z.conj().T)
-    return result
+    adj = mats.conj().transpose(0, 2, 1)
+    norms = _operator_norms(np.concatenate([mats, mats @ adj - adj @ mats]))
+    z, groups = np.eye(h), [np.arange(h)]
+    for m, nrm, dev in zip(mats, np.maximum(norms[:k], 1.0), norms[k:]):
+        if dev > 1e-12 * nrm**2:
+            continue
+        t, zm = scipy.linalg.schur(m, output="complex")
+        _, found = _cluster(np.diag(t), max(1e-8 * nrm, 1e-12))
+        if len(found) > len(groups):
+            z, groups = zm, found
+    label = np.empty(h, dtype=int)
+    for i, g in enumerate(groups):
+        label[g] = i
+    return z, np.nonzero(label[:, None] == label[None, :])
 
 
 def commutant(rep, tol: float = 1e-10) -> list[np.ndarray]:
     """Frobenius-orthonormal basis of {M : M rho_j = rho_j M for all j}.
 
     Always contains the identity direction. With more than two rep
-    matrices, the null space of the Sylvester stack of two seeded random
-    combinations X, Y of them is tried first: it contains the commutant
-    and equals it when X and Y generate the represented algebra, which two
-    generic elements do. It is accepted only if each candidate commutes
-    with every rep matrix within the full-stack threshold or tighter;
-    otherwise, and with at most two rep matrices, the null space of the
-    stacked Sylvester system of all of them is taken, first restricted to
-    the eigen-blocks of a normal rep element with a spread spectrum.
+    matrices, the Sylvester null space of two seeded random combinations
+    X, Y of them is tried first: it contains the commutant and equals it
+    when X and Y generate the represented algebra, which two generic
+    elements do. It is kept only if every candidate M passes
+    sqrt(sum_j ||rho_j M - M rho_j||_F^2) <= tol * max(1, l), where
+    l = ||S||_F / h, with ||S||_F^2 = sum_j (2h ||rho_j||_F^2 - 2 |tr rho_j|^2),
+    bounds the full stack S's largest singular value from below (S has
+    rank < h^2), so the check is never looser than the full-stack
+    threshold. Otherwise, and with at most two rep matrices, the null space
+    of the Sylvester system of all of them is taken, restricted to the
+    eigen-blocks of a normal rep element with a spread spectrum.
     """
     mats = [np.asarray(r, dtype=complex) for r in rep]
     h = mats[0].shape[0]
     if any(m.shape != (h, h) for m in mats):
         raise InvalidInputError("representation matrices must share one shape")
+    mats = np.stack(mats)
     if len(mats) > 2:
-        found = _two_element_commutant(np.stack(mats), tol)
-        if found is not None:
-            return found
-    return _full_commutant(mats, tol)
+        rng = np.random.default_rng(0)
+        coef = rng.standard_normal((2, len(mats))) + 1j * rng.standard_normal((2, len(mats)))
+        xy = np.tensordot(coef, mats, axes=1)
+        cands = _sylvester_null(xy, xy, tol)
+        resid_sq = np.zeros(len(cands))
+        for m in mats:
+            resid_sq += (np.abs(m @ cands - cands @ m) ** 2).sum(axis=(1, 2))
+        fro_sq = (np.abs(mats) ** 2).sum(axis=(1, 2))
+        traces = np.trace(mats, axis1=1, axis2=2)
+        ell = np.sqrt((2 * h * fro_sq - 2 * np.abs(traces) ** 2).sum()) / h
+        if np.all(resid_sq <= (tol * max(1.0, ell)) ** 2):
+            return list(cands)
+    return list(_sylvester_null(mats, mats, tol, *_block_restriction(mats)))
 
 
 def is_irreducible(rep, tol: float = 1e-10) -> bool:
@@ -327,45 +296,32 @@ def is_irreducible(rep, tol: float = 1e-10) -> bool:
 def find_intertwiner(rep1, rep2, tol: float = 1e-8, map_vector=None):
     """Unitary U with U rho1_j = rho2_j U for all j, or None.
 
-    If map_vector=(v_from, v_to) is given, the constraint U v_from = v_to is
-    imposed as well (the uniqueness clause for cyclic vectors) and the
-    system is solved in the least-squares sense before taking the unitary
-    polar factor.
+    The candidates come from the Sylvester null space of the pair: its
+    basis and one seeded combination of it. If map_vector=(v_from, v_to)
+    is given, the one candidate is the member of that space that best
+    satisfies U v_from = v_to in the least-squares sense (the uniqueness
+    clause for cyclic vectors). A candidate's unitary polar factor is
+    returned once it intertwines and maps v_from to v_to.
     """
-    m1 = [np.asarray(r, dtype=complex) for r in rep1]
-    m2 = [np.asarray(r, dtype=complex) for r in rep2]
+    m1 = np.stack([np.asarray(r, dtype=complex) for r in rep1])
+    m2 = np.stack([np.asarray(r, dtype=complex) for r in rep2])
     if len(m1) != len(m2):
         raise InvalidInputError("representations must share the basis indexing")
-    h1, h2 = m1[0].shape[0], m2[0].shape[0]
-    if h1 != h2:
+    if m1.shape[1] != m2.shape[1]:
         return None
-    h = h1
-    eye = np.eye(h)
-    # vec(U rho1 - rho2 U) = (rho1^T kron I - I kron rho2) vec U, column-major
-    blocks = [np.kron(a.T, eye) - np.kron(eye, b) for a, b in zip(m1, m2)]
-    sylv = np.vstack(blocks)
-    scale = max(_operator_norms(np.stack(m1 + m2)).max(), 1.0)
+    null = _sylvester_null(m1, m2, tol)
+    scale = max(_operator_norms(np.concatenate([m1, m2])).max(), 1.0)
 
-    candidates = []
     if map_vector is not None:
-        v_from = np.asarray(map_vector[0], dtype=complex).ravel()
-        v_to = np.asarray(map_vector[1], dtype=complex).ravel()
-        row = np.kron(v_from[None, :], eye)  # vec(U v_from) = (v_from^T kron I) vec U
-        a_full = np.vstack([sylv, row])
-        b_full = np.concatenate([np.zeros(sylv.shape[0]), v_to])
-        sol, *_ = np.linalg.lstsq(a_full, b_full, rcond=None)
-        candidates.append(sol.reshape(h, h, order="F"))
+        v_from, v_to = (np.asarray(v, dtype=complex).ravel() for v in map_vector)
+        coef, *_ = np.linalg.lstsq((null @ v_from).T, v_to, rcond=None)
+        candidates = [np.tensordot(coef, null, axes=1)]
     else:
-        null = _null_space(sylv, tol)
-        for v in null:
-            candidates.append(v.reshape(h, h, order="F"))
-        if null.shape[0] > 1:
+        candidates = list(null)
+        if len(null) > 1:
             rng = np.random.default_rng(0)
-            combo = null.T @ (
-                rng.standard_normal(null.shape[0])
-                + 1j * rng.standard_normal(null.shape[0])
-            )
-            candidates.append(combo.reshape(h, h, order="F"))
+            coef = rng.standard_normal(len(null)) + 1j * rng.standard_normal(len(null))
+            candidates.append(np.tensordot(coef, null, axes=1))
 
     for u0 in candidates:
         sv = _svd(u0, compute_uv=False)
@@ -373,14 +329,11 @@ def find_intertwiner(rep1, rep2, tol: float = 1e-8, map_vector=None):
             continue  # singular: not invertible, no unitary polar factor
         uu, _, vvh = _svd(u0, full_matrices=True)
         u = uu @ vvh
-        resid = _operator_norms(np.stack([u @ a - b @ u for a, b in zip(m1, m2)])).max()
-        if resid <= tol * scale:
-            if map_vector is not None:
-                v_from = np.asarray(map_vector[0], dtype=complex).ravel()
-                v_to = np.asarray(map_vector[1], dtype=complex).ravel()
-                if np.linalg.norm(u @ v_from - v_to) > tol * max(
-                    np.linalg.norm(v_to), 1.0
-                ):
-                    continue
+        resid = _operator_norms(u @ m1 - m2 @ u).max()
+        if resid > tol * scale:
+            continue
+        if map_vector is None or np.linalg.norm(u @ v_from - v_to) <= tol * max(
+            np.linalg.norm(v_to), 1.0
+        ):
             return u
     return None

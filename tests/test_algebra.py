@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,9 +17,17 @@ from cstarmech.algebra import (
     operator_norm,
 )
 from cstarmech.errors import DimensionMismatchError, InvalidInputError, NumericalError
-from cstarmech.gns import AbstractState, _null_space, find_intertwiner
+from cstarmech.gns import (
+    AbstractState,
+    _block_restriction,
+    _null_space,
+    commutant,
+    find_intertwiner,
+    gns_construct,
+)
 from cstarmech.sampling import random_element, random_selfadjoint, random_unitary
-from cstarmech.states import from_vector
+from cstarmech.states import DensityState, from_vector
+from cstarmech.weyl import clock_shift
 
 from conftest import SX, SY, SZ
 
@@ -181,6 +189,9 @@ def elements(draw, count, selfadjoint):
 
 
 REL = 1e-12  # relative to the squared norms compared
+# products of tiny entries underflow, and below the smallest normal float each
+# operation may also err by half the smallest subnormal, whatever the norms
+UNDERFLOW = 1e3 * np.finfo(float).smallest_subnormal
 
 
 class TestSegalAxioms:
@@ -191,27 +202,28 @@ class TestSegalAxioms:
     def test_cstar_identity(self, elems):
         (a,) = elems
         norm_sq = operator_norm(a) ** 2
-        assert abs(operator_norm(adjoint(a) @ a) - norm_sq) <= REL * norm_sq
+        assert abs(operator_norm(adjoint(a) @ a) - norm_sq) <= REL * norm_sq + UNDERFLOW
 
     @given(elements(1, selfadjoint=True))
     def test_square_norm_of_observable(self, elems):
         (a,) = elems
         norm_sq = operator_norm(a) ** 2
-        assert abs(operator_norm(a @ a) - norm_sq) <= REL * norm_sq
+        assert abs(operator_norm(a @ a) - norm_sq) <= REL * norm_sq + UNDERFLOW
 
     @given(elements(2, selfadjoint=True))
     def test_difference_of_squares(self, elems):
         a, b = elems
         bound = max(operator_norm(a @ a), operator_norm(b @ b))
-        assert operator_norm(a @ a - b @ b) <= bound * (1 + REL)
+        assert operator_norm(a @ a - b @ b) <= bound * (1 + REL) + UNDERFLOW
 
     @given(elements(2, selfadjoint=True))
+    @example([AlgebraElement(np.full((3, 3), 4.93081093e-160 + 0j))] * 2)  # products underflow
     def test_jordan_product(self, elems):
         a, b = elems
         jordan = ((a + b) @ (a + b) - (a - b) @ (a - b)) * 0.25
         symmetrized = (a @ b + b @ a) * 0.5
         scale = (operator_norm(a) + operator_norm(b)) ** 2
-        assert operator_norm(jordan - symmetrized) <= REL * scale
+        assert operator_norm(jordan - symmetrized) <= REL * scale + UNDERFLOW
 
 
 def gesvd(m, full_matrices=True, compute_uv=True):
@@ -290,3 +302,28 @@ class TestSvdFallback:
         assert null.shape[0] == 5 and pure and ref_pure and u is not None
         np.testing.assert_array_equal(null, ref_null)
         np.testing.assert_array_equal(u, ref_u)
+
+    def test_gns_construct(self, gesdd_fails, monkeypatch):
+        # the Gram Hermiticity error and its scale: one batched norm call
+        basis = generate_algebra([AlgebraElement(SX), AlgebraElement(SY)])
+        omega = AbstractState.from_density(basis, DensityState(np.diag([0.7, 0.3])))
+        gesdd_fails.clear()
+        res = gns_construct(omega)
+        assert gesdd_fails == ["norm", "svd", "svd"]
+        monkeypatch.undo()
+        ref = gns_construct(omega)
+        assert res.hilbert_dim == ref.hilbert_dim == 4
+        np.testing.assert_array_equal(np.stack(res.rep), np.stack(ref.rep))
+        np.testing.assert_array_equal(res.cyclic_vector, ref.cyclic_vector)
+
+    def test_restricted_commutant(self, gesdd_fails, monkeypatch):
+        # the clock matrix is normal with 8 distinct eigenvalues, so the
+        # Sylvester search runs on 8 of the 64 index pairs
+        rep = [clock_shift(8).U, clock_shift(8).V]
+        got = commutant(rep)
+        assert gesdd_fails == ["norm"] + ["svd"] * 5
+        monkeypatch.setattr(np.linalg, "svd", gesvd)
+        assert len(_block_restriction(np.stack(rep))[1][0]) == 8
+        ref = commutant(rep)
+        assert len(got) == 1
+        np.testing.assert_array_equal(got, ref)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,15 @@ class TestClassical:
                                                "message": message}
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (out / "harmonic_trajectory.csv").exists()
+
+    def test_flow_overflow_is_one_stderr_line(self, tmp_path, capsys):
+        # at dt = 2.5 the leapfrog itself overflows before step 2000; numpy
+        # adds no warning to the refused phase point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, "classical", {"points": 2, "dt": 2.5, "steps": 2000})
+        assert code == read_manifest(out)["exit_code"] == 2
+        assert capsys.readouterr().err == "config error: phase point must be finite\n"
 
 
 class TestHarness:

@@ -209,6 +209,31 @@ def random_generators(rng, n, count, kind):
     return gens
 
 
+def full_stack_dim(rep, tol=1e-10):
+    """Commutant dimension from the plain Sylvester stack of every rep
+    matrix: singular values s <= tol * max(s_max, 1) of the stacked
+    M -> rho_j M - M rho_j in column-major vec."""
+    h = rep[0].shape[0]
+    eye = np.eye(h)
+    stack = np.vstack([np.kron(eye, r) - np.kron(r.T, eye) for r in rep])
+    s = np.linalg.svd(stack, compute_uv=False)
+    return int(np.sum(s <= tol * max(s[0], 1.0)))
+
+
+@pytest.fixture
+def builder_calls(monkeypatch):
+    """Arguments of every gns._sylvester_null call."""
+    calls = []
+    real = gns._sylvester_null
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gns, "_sylvester_null", spy)
+    return calls
+
+
 class TestCommutantPaths:
     @settings(max_examples=30)
     @given(
@@ -225,34 +250,96 @@ class TestCommutantPaths:
         res = gns_from_density(basis, random_density(rng, n, rank=rank))
         rep = [np.asarray(r) for r in res.rep]
         got = commutant(rep)
-        assert len(got) == len(gns._full_commutant(rep, 1e-10))
+        assert len(got) == full_stack_dim(rep)
         for m in got:
             for r in rep:
                 scale = max(1.0, np.linalg.norm(r, 2))
                 np.testing.assert_allclose(m @ r, r @ m, atol=1e-9 * scale)
 
-    def test_fallback_when_two_elements_do_not_generate(self):
+    def test_fallback_when_two_elements_do_not_generate(self, builder_calls):
         # span{E_12, E_13, E_14}: any two elements of it miss one direction,
-        # so the two-element candidates fail the check on the third
+        # so the two-element candidates fail the check on the third and the
+        # builder runs a second time, on every rep matrix
         rep = []
         for j in (1, 2, 3):
             e = np.zeros((4, 4), dtype=complex)
             e[0, j] = 1.0
             rep.append(e)
-        assert gns._two_element_commutant(np.stack(rep), 1e-10) is None
         got = commutant(rep)
-        assert len(got) == len(gns._full_commutant(rep, 1e-10)) == 4
+        assert len(builder_calls) == 2 and len(builder_calls[1][0]) == 3
+        assert len(got) == full_stack_dim(rep) == 4
         for m in got:
             for r in rep:
                 np.testing.assert_allclose(m @ r, r @ m, atol=1e-12)
 
-    def test_two_element_path_on_gns_rep(self, rng):
+    def test_two_element_path_on_gns_rep(self, rng, builder_calls):
         basis = full_matrix_basis(3, rng)
         res = gns_from_density(basis, random_density(rng, 3, rank=2))
-        found = gns._two_element_commutant(np.stack(res.rep), 1e-10)
-        assert found is not None and len(found) == 4
+        found = commutant(res.rep)
+        assert len(builder_calls) == 1 and len(builder_calls[0][0]) == 2
+        assert len(found) == full_stack_dim(res.rep) == 4
         flat = np.stack([m.ravel() for m in found])
         np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(4), atol=1e-12)
+
+
+gns_cases = dict(
+    n=st.integers(2, 4),
+    rank_frac=st.floats(0.0, 1.0),
+    count=st.integers(1, 3),
+    kind=st.sampled_from(["full", "commuting", "blocks"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def random_case(n, rank_frac, count, kind, seed):
+    """A random algebra of the given kind and a state of random rank on it."""
+    rng = np.random.default_rng(seed)
+    basis = generate_algebra(random_generators(rng, n, count, kind))
+    rank = 1 + int(rank_frac * (n - 1) + 0.5)
+    return rng, basis, AbstractState.from_density(basis, random_density(rng, n, rank=rank))
+
+
+class TestGnsProperties:
+    """GNS reconstruction and the *-homomorphism property on random
+    algebras, checked against plain-numpy coefficients of A_j* and A_j A_k
+    (every basis element has Frobenius norm 1, so ||pi(A_j)|| <= 1)."""
+
+    @settings(max_examples=25)
+    @given(**gns_cases)
+    def test_reconstruction(self, **case):
+        _, _, omega = random_case(**case)
+        res = gns_construct(omega)
+        psi, rep = res.cyclic_vector, np.stack(res.rep)
+        got = np.einsum("a,jab,b->j", psi.conj(), rep, psi)
+        np.testing.assert_allclose(got, omega.values, rtol=0, atol=1e-9)
+
+    @settings(max_examples=25)
+    @given(**gns_cases)
+    def test_star_homomorphism(self, **case):
+        _, basis, omega = random_case(**case)
+        rep = np.stack(gns_construct(omega).rep)
+        mats = basis.matrices()
+        adj = np.einsum("mab,jba->jm", mats.conj(), mats.conj())  # A_j* = sum_m adj_jm A_m
+        prod = np.einsum("lab,jac,kcb->ljk", mats.conj(), mats, mats)  # P_ljk
+        np.testing.assert_allclose(rep.conj().transpose(0, 2, 1),
+                                   np.einsum("jm,mab->jab", adj, rep), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(np.einsum("jab,kbc->jkac", rep, rep),
+                                   np.einsum("ljk,lac->jkac", prod, rep), rtol=0, atol=1e-8)
+
+    @settings(max_examples=40)
+    @given(eigenvector=st.booleans(), **gns_cases)
+    def test_purity_iff_irreducibility(self, eigenvector, **case):
+        # an eigenvector of a generic self-adjoint element of the algebra lies
+        # under one of its minimal projections: a pure state on the algebra
+        rng, basis, omega = random_case(**case)
+        if eigenvector:
+            c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+            b = np.tensordot(c, basis.matrices(), axes=1)
+            v = np.linalg.eigh(b + b.conj().T)[1][:, 0]
+            omega = AbstractState.from_density(basis, from_vector(v))
+        res = gns_construct(omega)
+        assert omega.is_pure() == is_irreducible(res.rep)
+        assert omega.is_pure() == (full_stack_dim(res.rep) == 1)
 
 
 class TestAlgebraPurity:

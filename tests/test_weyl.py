@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cstarmech.algebra import AlgebraElement, classify, operator_norm
 from cstarmech.errors import InvalidInputError
@@ -92,6 +94,43 @@ class TestClockShift:
         assert u is not None
         for a, b in zip(rep1, rep2):
             assert np.linalg.norm(u @ a - b @ u, 2) < 1e-8
+
+
+class TestWeylProperties:
+    """The Weyl relation, irreducibility and unitary equivalence of
+    clock/shift pairs for n in 2..12, and the grid phase relation."""
+
+    @given(st.integers(2, 12))
+    def test_clock_shift_relation_and_irreducibility(self, n):
+        pair = clock_shift(n)
+        np.testing.assert_allclose(pair.U @ pair.V, pair.zeta * pair.V @ pair.U,
+                                   rtol=0, atol=1e-12)
+        assert is_irreducible([pair.U, pair.V])
+
+    @given(st.integers(1, 6), st.floats(1.0, 30.0), st.integers(-3, 3), st.integers(-64, 64))
+    def test_grid_phase_relation(self, log_n, length, m, s):
+        grid = Grid1D(N=2**log_n, L=length)
+        alpha, beta = 2 * np.pi * m / length, s * grid.dx
+        u, v = grid_weyl_ops(grid, alpha, beta)
+        np.testing.assert_allclose(u @ v, np.exp(-1j * alpha * beta) * (v @ u),
+                                   rtol=0, atol=1e-10)
+
+    @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+    def test_intertwiner_recovers_a_conjugation(self, n, seed):
+        pair = clock_shift(n)
+        w = random_unitary(np.random.default_rng(seed), n)
+        u = find_intertwiner([pair.U, pair.V], [w @ pair.U @ w.conj().T, w @ pair.V @ w.conj().T])
+        assert u is not None
+        # the pair is irreducible, so the intertwiner is w up to a phase
+        phase = np.trace(w.conj().T @ u) / n
+        assert abs(phase) == pytest.approx(1.0, abs=1e-8)
+        np.testing.assert_allclose(u, phase * w, rtol=0, atol=1e-8)
+
+    @given(st.integers(3, 12))
+    def test_adjoint_shift_is_inequivalent(self, n):
+        # U V* = zeta^-1 V* U: another phase constant, so no intertwiner
+        pair = clock_shift(n)
+        assert find_intertwiner([pair.U, pair.V], [pair.U, pair.V.conj().T]) is None
 
 
 class TestGridWeylOps:
