@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -189,9 +189,6 @@ def elements(draw, count, selfadjoint):
 
 
 REL = 1e-12  # relative to the squared norms compared
-# products of tiny entries underflow, and below the smallest normal float each
-# operation may also err by half the smallest subnormal, whatever the norms
-UNDERFLOW = 1e3 * np.finfo(float).smallest_subnormal
 
 
 class TestSegalAxioms:
@@ -202,28 +199,27 @@ class TestSegalAxioms:
     def test_cstar_identity(self, elems):
         (a,) = elems
         norm_sq = operator_norm(a) ** 2
-        assert abs(operator_norm(adjoint(a) @ a) - norm_sq) <= REL * norm_sq + UNDERFLOW
+        assert abs(operator_norm(adjoint(a) @ a) - norm_sq) <= REL * norm_sq
 
     @given(elements(1, selfadjoint=True))
     def test_square_norm_of_observable(self, elems):
         (a,) = elems
         norm_sq = operator_norm(a) ** 2
-        assert abs(operator_norm(a @ a) - norm_sq) <= REL * norm_sq + UNDERFLOW
+        assert abs(operator_norm(a @ a) - norm_sq) <= REL * norm_sq
 
     @given(elements(2, selfadjoint=True))
     def test_difference_of_squares(self, elems):
         a, b = elems
         bound = max(operator_norm(a @ a), operator_norm(b @ b))
-        assert operator_norm(a @ a - b @ b) <= bound * (1 + REL) + UNDERFLOW
+        assert operator_norm(a @ a - b @ b) <= bound * (1 + REL)
 
     @given(elements(2, selfadjoint=True))
-    @example([AlgebraElement(np.full((3, 3), 4.93081093e-160 + 0j))] * 2)  # products underflow
     def test_jordan_product(self, elems):
         a, b = elems
         jordan = ((a + b) @ (a + b) - (a - b) @ (a - b)) * 0.25
         symmetrized = (a @ b + b @ a) * 0.5
         scale = (operator_norm(a) + operator_norm(b)) ** 2
-        assert operator_norm(jordan - symmetrized) <= REL * scale + UNDERFLOW
+        assert operator_norm(jordan - symmetrized) <= REL * scale
 
 
 def gesvd(m, full_matrices=True, compute_uv=True):

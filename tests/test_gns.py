@@ -424,6 +424,26 @@ class TestIntertwiner:
         rep1 = [np.diag([1.0, 2.0]).astype(complex)]
         rep2 = [np.diag([1.0, 3.0]).astype(complex)]
         assert find_intertwiner(rep1, rep2) is None
+        e0 = np.array([1.0, 0.0])
+        assert find_intertwiner(rep1, rep2, map_vector=(e0, e0)) is None
+
+    def test_map_vector_picks_the_member(self, rng):
+        # diag(1, 2, 3) is reducible: its intertwiners w D form a 3-dimensional
+        # space (D diagonal), and the cyclic vector fixes D
+        from cstarmech.sampling import random_unitary
+
+        w = random_unitary(rng, 3)
+        rep1 = [np.diag([1.0, 2.0, 3.0]).astype(complex)]
+        rep2 = [w @ rep1[0] @ w.conj().T]
+        target = w @ np.diag([1.0, 1j, -1.0])
+        v_from = np.ones(3) / np.sqrt(3)
+        u = find_intertwiner(rep1, rep2, map_vector=(v_from, target @ v_from))
+        assert u is not None
+        np.testing.assert_allclose(u, target, atol=1e-8)
+        # without the vector, some other member of the space is returned
+        other = find_intertwiner(rep1, rep2)
+        assert other is not None
+        assert np.linalg.norm(other @ v_from - target @ v_from) > 1e-3
 
     def test_dimension_mismatch(self):
         assert find_intertwiner([np.eye(2)], [np.eye(3)]) is None
