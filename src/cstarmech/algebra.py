@@ -105,23 +105,25 @@ def _svd(m: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
 
 
 def _operator_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a (S, n, n) stack.
-
-    One batched SVD; only if it fails, each matrix goes through ``_svd``.
-    """
+    """Largest singular value of each matrix in a (S, n, n) stack: the one
+    C* norm kernel. Non-finite entries are refused, since a NaN norm passes
+    every ``>`` check. If the batched SVD fails, each matrix goes through
+    ``_svd``; if that fails too, NumericalError."""
+    if not np.isfinite(stack).all():
+        raise InvalidInputError("matrix entries must be finite")
     try:
         return np.linalg.norm(stack, 2, axis=(-2, -1))
     except np.linalg.LinAlgError:
-        return np.array([_svd(m, compute_uv=False)[0] for m in stack])
+        try:
+            return np.array([_svd(m, compute_uv=False)[0] for m in stack])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"singular value computation failed: {exc}") from exc
 
 
 def operator_norm(a) -> float:
     """Largest singular value of the matrix (the C* norm)."""
     m = a.entries if isinstance(a, AlgebraElement) else _as_matrix(a)
-    try:
-        return float(_operator_norms(m[None])[0])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular value computation failed: {exc}") from exc
+    return float(_operator_norms(m[None])[0])
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -144,13 +146,16 @@ def classify(a: AlgebraElement, tol: float = DEFAULT_TOL) -> ElementFlags:
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
     m = a.entries
-    scale = max(operator_norm(a), 1.0)
-    sa = operator_norm(AlgebraElement(m - m.conj().T)) <= tol * scale
-    nrm = operator_norm(AlgebraElement(m @ m.conj().T - m.conj().T @ m)) <= tol * scale**2
-    uni = operator_norm(AlgebraElement(m @ m.conj().T - np.eye(a.dim))) <= tol * scale**2
+    mh = m.conj().T
+    norm, sa_err, nrm_err, uni_err = _operator_norms(
+        np.stack([m, m - mh, m @ mh - mh @ m, m @ mh - np.eye(a.dim)]))
+    scale = max(norm, 1.0)
+    sa = bool(sa_err <= tol * scale)
+    nrm = bool(nrm_err <= tol * scale**2)
+    uni = bool(uni_err <= tol * scale**2)
     pos = False
     if sa:
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        eigs = np.linalg.eigvalsh((m + mh) / 2)
         pos = bool(eigs.min() >= -tol * scale)
     return ElementFlags(selfadjoint=sa, normal=nrm, unitary=uni, positive=pos)
 
@@ -237,9 +242,9 @@ def generate_algebra(generators, tol: float = DEFAULT_TOL) -> AlgebraBasis:
 
 def is_commutative(basis: AlgebraBasis, tol: float = DEFAULT_TOL) -> bool:
     """True iff all pairwise commutators vanish within ``tol``."""
-    elems = basis.elements
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if operator_norm(commutator(elems[i], elems[j])) >= tol:
-                return False
+    mats = basis.matrices()
+    for i in range(len(mats) - 1):
+        rest = mats[i + 1:]
+        if (_operator_norms(mats[i] @ rest - rest @ mats[i]) >= tol).any():
+            return False
     return True

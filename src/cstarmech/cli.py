@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra import AlgebraElement, generate_algebra
+from .algebra import AlgebraElement, _operator_norms, generate_algebra, operator_norm
 from .classical import HARMONIC, PhasePoint, bracket_table, hamilton_flow
 from .dynamics import (
     EvolutionConfig,
@@ -174,15 +174,14 @@ def cmd_weyl(cfg: dict, out: Path, seed: int) -> int:
     if "n" in cfg:
         n = _field(cfg, "n", int)
         pair = clock_shift(n)
-        zeta = pair.zeta
-        rel = float(np.linalg.norm(pair.U @ pair.V - zeta * pair.V @ pair.U, 2))
-        uni = float(np.linalg.norm(pair.U @ pair.U.conj().T - np.eye(n), 2))
-        cyc = float(
-            max(
-                np.linalg.norm(np.linalg.matrix_power(pair.U, n) - np.eye(n), 2),
-                np.linalg.norm(np.linalg.matrix_power(pair.V, n) - np.eye(n), 2),
-            )
-        )
+        u, v, eye = pair.U, pair.V, np.eye(n)
+        rel, uni, cyc_u, cyc_v = map(float, _operator_norms(np.stack([
+            u @ v - pair.zeta * v @ u,
+            u @ u.conj().T - eye,
+            np.linalg.matrix_power(u, n) - eye,
+            np.linalg.matrix_power(v, n) - eye,
+        ])))
+        cyc = max(cyc_u, cyc_v)
         report["clock_shift"] = {
             "n": n,
             "relation_residual": rel,
@@ -198,7 +197,7 @@ def cmd_weyl(cfg: dict, out: Path, seed: int) -> int:
         beta = _field(cfg, "beta", float, grid.dx)
         u, v = grid_weyl_ops(grid, alpha, beta)
         phase = np.exp(-1j * alpha * beta)
-        rel = float(np.linalg.norm(u @ v - phase * v @ u, 2))
+        rel = operator_norm(u @ v - phase * v @ u)
         report["grid"] = {
             "N": grid.N,
             "L": grid.L,

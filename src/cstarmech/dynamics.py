@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraElement, commutator
+from .algebra import AlgebraElement, _operator_norms
 from .errors import (
     DimensionMismatchError,
     EvaluationDomainError,
@@ -207,7 +207,8 @@ class _Propagator:
 
 def _hamiltonian_propagator(h: AlgebraElement) -> _Propagator:
     hm = h.entries
-    if np.linalg.norm(hm - hm.conj().T, 2) > 1e-10 * max(np.linalg.norm(hm, 2), 1.0):
+    herm_err, norm = _operator_norms(np.stack([hm - hm.conj().T, hm]))
+    if herm_err > 1e-10 * max(norm, 1.0):
         raise InvalidInputError("Hamiltonian must be self-adjoint")
     return _Propagator((hm + hm.conj().T) / 2)
 

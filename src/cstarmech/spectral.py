@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraElement, classify, operator_norm
+from .algebra import AlgebraElement, _operator_norms, classify, operator_norm
 from .errors import EvaluationDomainError, InvalidInputError, NumericalError
 from .states import DensityState, _check_dims
 
@@ -45,7 +45,7 @@ class SpectralMeasure:
 
 
 def _normal_eigensystem(a: AlgebraElement, tol: float):
-    """Eigenvalues and an orthonormal eigenbasis of a normal matrix."""
+    """Eigenvalues, an orthonormal eigenbasis and the norm of a normal matrix."""
     flags = classify(a, tol)
     if not flags.normal:
         raise InvalidInputError("element is not normal within tolerance")
@@ -53,15 +53,15 @@ def _normal_eigensystem(a: AlgebraElement, tol: float):
     try:
         if flags.selfadjoint:
             vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-            return vals.astype(complex), vecs
+            return vals.astype(complex), vecs, operator_norm(a)
         t, z = scipy.linalg.schur(m, output="complex")
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     # for a normal matrix the Schur form is diagonal up to round-off
-    off = t - np.diag(np.diag(t))
-    if np.linalg.norm(off, 2) > max(tol, 1e-9) * max(operator_norm(a), 1.0):
+    off_norm, norm = _operator_norms(np.stack([t - np.diag(np.diag(t)), m]))
+    if off_norm > max(tol, 1e-9) * max(norm, 1.0):
         raise InvalidInputError("element is not normal within tolerance")
-    return np.diag(t), z
+    return np.diag(t), z, float(norm)
 
 
 def _cluster(values: np.ndarray, ctol: float):
@@ -86,16 +86,12 @@ def _cluster(values: np.ndarray, ctol: float):
     return [complex(mu) for mu in means], [np.array(g) for g in groups]
 
 
-def _cluster_tol(a: AlgebraElement, tol: float) -> float:
-    return max(tol * operator_norm(a), _CLUSTER_FLOOR)
-
-
 def spectrum(a: AlgebraElement, tol: float = 1e-8) -> list[complex]:
     """Clustered eigenvalues of a normal element.
 
     Self-adjoint inputs yield real outputs exactly (eigh path)."""
-    vals, _ = _normal_eigensystem(a, tol)
-    means, _ = _cluster(vals, _cluster_tol(a, tol))
+    vals, _, norm = _normal_eigensystem(a, tol)
+    means, _ = _cluster(vals, max(tol * norm, _CLUSTER_FLOOR))
     return means
 
 
@@ -108,8 +104,8 @@ def spectral_measure(
     clustered eigenspace; moments then reproduce omega(A^k).
     """
     _check_dims(omega, a)
-    vals, vecs = _normal_eigensystem(a, tol)
-    means, groups = _cluster(vals, _cluster_tol(a, tol))
+    vals, vecs, norm = _normal_eigensystem(a, tol)
+    means, groups = _cluster(vals, max(tol * norm, _CLUSTER_FLOOR))
     weights = []
     for g in groups:
         v = vecs[:, g]
@@ -127,7 +123,7 @@ def spectral_measure(
 def apply_function(f, a: AlgebraElement, tol: float = 1e-8) -> AlgebraElement:
     """Functional calculus: apply a scalar function to the eigenvalues of a
     normal element in its eigenbasis."""
-    vals, vecs = _normal_eigensystem(a, tol)
+    vals, vecs, _ = _normal_eigensystem(a, tol)
     fv = np.asarray([f(lam) for lam in vals], dtype=complex)
     if not np.all(np.isfinite(fv)):
         raise EvaluationDomainError("function produced non-finite values on the spectrum")

@@ -154,7 +154,7 @@ def from_vector(psi) -> DensityState:
 def is_pure(omega: DensityState, tol: float = 1e-10) -> bool:
     """True iff b is (numerically) a rank-one projection: tr(b^2) > 1 - tol."""
     b = omega.b
-    if operator_norm(AlgebraElement(b @ b - b)) >= tol:
+    if operator_norm(b @ b - b) >= tol:
         return False
     return float(np.trace(b @ b).real) > 1.0 - tol
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, commutator, operator_norm
+from .algebra import _operator_norms
 from .errors import InvalidInputError
 
 __all__ = [
@@ -220,19 +220,15 @@ def heisenberg_obstruction_report(grid: Grid1D) -> ObstructionReport:
             best = (s, dev, d)
     sign, interior_dev, d = best
     boundary_dev = packet_deviation(d, boundary_centers)
-    full_dev = operator_norm(AlgebraElement(d))
+    full_dev, norm_x, norm_p = _operator_norms(np.stack([d, x, p]))
 
-    norm_x = operator_norm(AlgebraElement(x))
-    norm_p = operator_norm(AlgebraElement(p))
     bounds = []
     xn = np.eye(grid.N, dtype=complex)  # X^{n-1}, starting at n = 1
     for n in range(1, 11):
         xn_next = xn @ x
         comm = p @ xn_next - xn_next @ p
-        emp = operator_norm(AlgebraElement(comm)) / (
-            2 * operator_norm(AlgebraElement(xn))
-        )
-        bounds.append((n, n / 2.0, float(emp)))
+        comm_norm, xn_norm = _operator_norms(np.stack([comm, xn]))
+        bounds.append((n, n / 2.0, float(comm_norm / (2 * xn_norm))))
         xn = xn_next
 
     return ObstructionReport(
@@ -240,7 +236,7 @@ def heisenberg_obstruction_report(grid: Grid1D) -> ObstructionReport:
         sign=sign,
         interior_deviation=interior_dev,
         boundary_deviation=boundary_dev,
-        full_matrix_deviation=full_dev,
+        full_matrix_deviation=float(full_dev),
         norm_product=float(norm_x * norm_p),
         lower_bounds=tuple(bounds),
     )

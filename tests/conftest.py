@@ -3,6 +3,9 @@ import pytest
 from hypothesis import settings
 from hypothesis.internal.conjecture import providers
 
+from cstarmech.algebra import AlgebraElement
+from cstarmech.sampling import random_selfadjoint, random_unitary
+
 # every property test is deterministic: fixed example order, no example
 # database, no per-example deadline
 settings.register_profile("cstarmech", deadline=None, derandomize=True, database=None)
@@ -25,3 +28,24 @@ def rng():
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def random_generators(rng, n, count, kind):
+    """Self-adjoint generators of a generic algebra ("full"), of a
+    commutative one with repeated eigenvalues ("commuting"), or of a
+    block-diagonal one in a random basis ("blocks")."""
+    u = random_unitary(rng, n)
+    gens = []
+    for _ in range(count):
+        if kind == "full":
+            g = random_selfadjoint(rng, n).entries
+        elif kind == "commuting":
+            g = u @ np.diag(rng.integers(0, 3, n).astype(float)) @ u.conj().T
+        else:
+            cut = n // 2
+            g = np.zeros((n, n), dtype=complex)
+            g[:cut, :cut] = random_selfadjoint(rng, cut).entries
+            g[cut:, cut:] = random_selfadjoint(rng, n - cut).entries
+            g = u @ g @ u.conj().T
+        gens.append(AlgebraElement(g))
+    return gens

@@ -1,10 +1,14 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import cstarmech
 from cstarmech.algebra import (
     AlgebraElement,
     _operator_norms,
@@ -25,11 +29,11 @@ from cstarmech.gns import (
     find_intertwiner,
     gns_construct,
 )
-from cstarmech.sampling import random_element, random_selfadjoint, random_unitary
-from cstarmech.states import DensityState, from_vector
+from cstarmech.sampling import random_density, random_element, random_selfadjoint, random_unitary
+from cstarmech.states import DensityState, check_densities, from_vector
 from cstarmech.weyl import clock_shift
 
-from conftest import SX, SY, SZ
+from conftest import SX, SY, SZ, random_generators
 
 
 class TestAdjoint:
@@ -148,6 +152,16 @@ class TestIsCommutative:
         basis = generate_algebra([normal])
         assert is_commutative(basis, 1e-8)
 
+    @given(n=st.integers(2, 4), count=st.integers(1, 3),
+           kind=st.sampled_from(["full", "commuting", "blocks"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_pairwise_loop(self, n, count, kind, seed):
+        basis = generate_algebra(random_generators(np.random.default_rng(seed), n, count, kind))
+        elems = basis.elements
+        want = all(operator_norm(commutator(elems[i], elems[j])) < 1e-10
+                   for i in range(len(elems)) for j in range(i + 1, len(elems)))
+        assert is_commutative(basis) == want
+
 
 class TestNormAxioms:
     """Spot checks; the bulk statistics live in the acceptance suite."""
@@ -189,6 +203,11 @@ def elements(draw, count, selfadjoint):
 
 
 REL = 1e-12  # relative to the squared norms compared
+# absolute floor of a few subnormal units, for products that underflow; it
+# is below every normal float, so it leaves each bound in that range as is
+ABS = 8 * np.finfo(float).smallest_subnormal
+# every entry 4.93081093e-160: the entries are normal, their products are not
+TINY = [AlgebraElement(np.full((3, 3), 4.93081093e-160))] * 2
 
 
 class TestSegalAxioms:
@@ -196,16 +215,18 @@ class TestSegalAxioms:
     elements) with the Jordan product a o b = ((a+b)^2 - (a-b)^2) / 4."""
 
     @given(elements(1, selfadjoint=False))
+    @example(TINY[:1])
     def test_cstar_identity(self, elems):
         (a,) = elems
         norm_sq = operator_norm(a) ** 2
-        assert abs(operator_norm(adjoint(a) @ a) - norm_sq) <= REL * norm_sq
+        assert abs(operator_norm(adjoint(a) @ a) - norm_sq) <= max(REL * norm_sq, ABS)
 
     @given(elements(1, selfadjoint=True))
+    @example(TINY[:1])
     def test_square_norm_of_observable(self, elems):
         (a,) = elems
         norm_sq = operator_norm(a) ** 2
-        assert abs(operator_norm(a @ a) - norm_sq) <= REL * norm_sq
+        assert abs(operator_norm(a @ a) - norm_sq) <= max(REL * norm_sq, ABS)
 
     @given(elements(2, selfadjoint=True))
     def test_difference_of_squares(self, elems):
@@ -214,12 +235,41 @@ class TestSegalAxioms:
         assert operator_norm(a @ a - b @ b) <= bound * (1 + REL)
 
     @given(elements(2, selfadjoint=True))
+    @example(TINY)
     def test_jordan_product(self, elems):
         a, b = elems
         jordan = ((a + b) @ (a + b) - (a - b) @ (a - b)) * 0.25
         symmetrized = (a @ b + b @ a) * 0.5
         scale = (operator_norm(a) + operator_norm(b)) ** 2
-        assert operator_norm(jordan - symmetrized) <= REL * scale
+        assert operator_norm(jordan - symmetrized) <= max(REL * scale, ABS)
+
+
+class TestNormKernel:
+    @given(st.integers(1, 6).flatmap(lambda count: elements(count, selfadjoint=False)))
+    def test_batch_equals_scalar(self, elems):
+        norms = _operator_norms(np.stack([a.entries for a in elems]))
+        assert [float(x) for x in norms] == [operator_norm(a) for a in elems]
+
+    def test_norms_only_in_algebra(self):
+        # every C* norm goes through algebra._operator_norms: no other module
+        # takes an ord-2 numpy norm or wraps a fresh array to measure it
+        found = []
+        for path in sorted(Path(cstarmech.__file__).parent.glob("*.py")):
+            if path.name == "algebra.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = ast.unparse(node.func)
+                if func.endswith("linalg.norm"):
+                    ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+                    if any(isinstance(o, ast.Constant) and o.value == 2 for o in ords):
+                        found.append(f"{path.name}:{node.lineno}")
+                elif (func.endswith("operator_norm") and node.args
+                      and isinstance(node.args[0], ast.Call)
+                      and ast.unparse(node.args[0].func).endswith("AlgebraElement")):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
 
 
 def gesvd(m, full_matrices=True, compute_uv=True):
@@ -270,6 +320,10 @@ class TestSvdFallback:
         monkeypatch.setattr(scipy.linalg, "svd", fails)
         with pytest.raises(NumericalError):
             operator_norm(random_element(rng, 3))
+        with pytest.raises(NumericalError):
+            _operator_norms(np.stack([random_element(rng, 3).entries] * 2))
+        with pytest.raises(NumericalError):
+            check_densities(random_density(rng, 3).b[None])
 
     def test_orthonormal_rows(self, gesdd_fails, rng):
         rows = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 9))  # rank 3

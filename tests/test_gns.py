@@ -14,10 +14,10 @@ from cstarmech.gns import (
     is_irreducible,
     structure_tensor,
 )
-from cstarmech.sampling import random_density, random_selfadjoint, random_unitary
+from cstarmech.sampling import random_density, random_selfadjoint
 from cstarmech.states import DensityState, expectation, from_vector, is_pure
 
-from conftest import SX, SY, SZ
+from conftest import SX, SY, SZ, random_generators
 
 
 def full_matrix_basis(n, rng=None):
@@ -186,27 +186,6 @@ class TestCommutant:
         for n in (2, 3, 8):
             pair = clock_shift(n)
             assert is_irreducible([pair.U, pair.V])
-
-
-def random_generators(rng, n, count, kind):
-    """Self-adjoint generators of a generic algebra ("full"), of a
-    commutative one with repeated eigenvalues ("commuting"), or of a
-    block-diagonal one in a random basis ("blocks")."""
-    u = random_unitary(rng, n)
-    gens = []
-    for _ in range(count):
-        if kind == "full":
-            g = random_selfadjoint(rng, n).entries
-        elif kind == "commuting":
-            g = u @ np.diag(rng.integers(0, 3, n).astype(float)) @ u.conj().T
-        else:
-            cut = n // 2
-            g = np.zeros((n, n), dtype=complex)
-            g[:cut, :cut] = random_selfadjoint(rng, cut).entries
-            g[cut:, cut:] = random_selfadjoint(rng, n - cut).entries
-            g = u @ g @ u.conj().T
-        gens.append(AlgebraElement(g))
-    return gens
 
 
 def full_stack_dim(rep, tol=1e-10):

@@ -40,6 +40,9 @@ class TestDensityState:
     def test_rejects_non_selfadjoint(self):
         with pytest.raises(InvalidStateError):
             DensityState(np.array([[0.5, 0.5], [0.0, 0.5]]))
+        # b - b* overflows; its NaN norm would pass every ">" check
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            DensityState([[0.5, 1e308], [-1e308, 0.5]])
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(InvalidStateError):
@@ -176,6 +179,8 @@ class TestVariance:
     def test_rejects_non_selfadjoint(self, rng):
         with pytest.raises(NonObservableError):
             variance(random_density(rng, 2), AlgebraElement([[0, 1], [0, 0]]))
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            check_observables([[[0, 1e308], [-1e308, 0]]])
 
 
 class TestUncertainty:
