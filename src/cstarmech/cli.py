@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: uncertainty | gns | weyl | evolve | spectrum | classical.
-Each reads a JSON config, writes machine-readable results plus a manifest
-into the output directory, and exits 0 only if every contracted check
-passed (1 check failure, 2 config error, 3 numerical failure).
+Each maps a JSON config and a seed to output files, with the tolerances
+of their sidecars, and checks; ``main`` writes them and a manifest, and
+exits 0 only if every check passed (1 check failure, 2 config error,
+3 numerical failure).
 """
 
 from __future__ import annotations
@@ -58,11 +59,6 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _sidecar(path: Path, tolerances: dict, cfg_hash: str):
-    dump_json({"tolerances": tolerances, "config_sha256": cfg_hash},
-              path.with_suffix(path.suffix + ".meta.json"))
-
-
 _REQUIRED = object()
 
 
@@ -92,7 +88,13 @@ def _field(cfg: dict, key: str, kind=None, default=_REQUIRED):
 _BLOCK = 16  # draws checked and evaluated as one stack: bounds its memory
 
 
-def cmd_uncertainty(cfg: dict, out: Path, seed: int) -> int:
+def _check(name: str, value, tol, ok=None) -> dict:
+    """One contracted check; unless ``ok`` is given it holds when value <= tol."""
+    return {"name": name, "value": value, "tol": tol,
+            "ok": bool(value <= tol if ok is None else ok)}
+
+
+def cmd_uncertainty(cfg: dict, seed: int):
     dim = _field(cfg, "dim", int, 2)
     samples = _field(cfg, "samples", int, 1000)
     include_commuting = bool(cfg.get("include_commuting", False))
@@ -115,7 +117,6 @@ def cmd_uncertainty(cfg: dict, out: Path, seed: int) -> int:
             raise type(exc)(f"draws {start}-{rows[-1]}, {exc}") from exc
     margin = lhs - rhs
     csv_text = trajectory_to_csv({"lhs": lhs, "rhs": rhs, "margin": margin})
-    (out / "uncertainty.csv").write_text(csv_text)
     tols = {"violation_tol": 1e-10}
     violations = int(np.sum(margin < -tols["violation_tol"]))
     summary = {
@@ -124,14 +125,12 @@ def cmd_uncertainty(cfg: dict, out: Path, seed: int) -> int:
         "violations": violations,
         "min_margin": float(margin.min()),
     }
-    dump_json(summary, out / "summary.json")
-    cfg_hash = _config_hash(cfg)
-    for name in ("uncertainty.csv", "summary.json"):
-        _sidecar(out / name, tols, cfg_hash)
-    return EXIT_OK if violations == 0 else EXIT_CHECK_FAILED
+    # ok: no margin below -violation_tol (a NaN margin is not counted)
+    check = _check("min_margin", summary["min_margin"], tols["violation_tol"], violations == 0)
+    return {"uncertainty.csv": (csv_text, tols), "summary.json": (summary, tols)}, [check]
 
 
-def cmd_gns(cfg: dict, out: Path, seed: int) -> int:
+def cmd_gns(cfg: dict, seed: int):
     gens_json = _field(cfg, "generators")
     state_json = _field(cfg, "state")
     tol = _field(cfg, "tol", float, 1e-10)
@@ -148,28 +147,25 @@ def cmd_gns(cfg: dict, out: Path, seed: int) -> int:
     psi = result.cyclic_vector
     recon = np.array([np.vdot(psi, r @ psi) for r in result.rep])
     recon_err = float(np.abs(recon - omega.values).max())
-    irreducible = is_irreducible(result.rep)
-    pure = omega.is_pure()
+    irreducible = bool(is_irreducible(result.rep))
+    pure = bool(omega.is_pure())
 
-    dump_json(gns_result_to_json(result), out / "gns_result.json")
     verdicts = {
         "hilbert_dim": result.hilbert_dim,
         "reconstruction_max_error": recon_err,
-        "irreducible": bool(irreducible),
-        "pure": bool(pure),
+        "irreducible": irreducible,
+        "pure": pure,
     }
-    dump_json(verdicts, out / "verdicts.json")
-    cfg_hash = _config_hash(cfg)
-    _sidecar(out / "gns_result.json", {"rank_tol": result.gram_rank_tol}, cfg_hash)
     tols = {"reconstruction_tol": 1e-9}
-    _sidecar(out / "verdicts.json", tols, cfg_hash)
-    ok = recon_err <= tols["reconstruction_tol"] and irreducible == pure
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    outputs = {"gns_result.json": (gns_result_to_json(result), {"rank_tol": result.gram_rank_tol}),
+               "verdicts.json": (verdicts, tols)}
+    same = irreducible == pure
+    return outputs, [_check("reconstruction_max_error", recon_err, tols["reconstruction_tol"]),
+                     _check("irreducible_iff_pure", same, None, same)]
 
 
-def cmd_weyl(cfg: dict, out: Path, seed: int) -> int:
-    report = {}
-    ok = True
+def cmd_weyl(cfg: dict, seed: int):
+    report, tols = {}, {}  # tols[section][key] bounds report[section][key]
 
     if "n" in cfg:
         n = _field(cfg, "n", int)
@@ -181,14 +177,14 @@ def cmd_weyl(cfg: dict, out: Path, seed: int) -> int:
             np.linalg.matrix_power(u, n) - eye,
             np.linalg.matrix_power(v, n) - eye,
         ])))
-        cyc = max(cyc_u, cyc_v)
         report["clock_shift"] = {
             "n": n,
             "relation_residual": rel,
             "unitarity_residual": uni,
-            "order_residual": cyc,
+            "order_residual": max(cyc_u, cyc_v),
         }
-        ok = ok and rel <= 1e-12 * n and uni <= 1e-12 and cyc <= 1e-10 * n
+        tols["clock_shift"] = {"relation_residual": 1e-12 * n, "unitarity_residual": 1e-12,
+                               "order_residual": 1e-10 * n}
 
     if "grid" in cfg:
         g = cfg["grid"]
@@ -197,22 +193,20 @@ def cmd_weyl(cfg: dict, out: Path, seed: int) -> int:
         beta = _field(cfg, "beta", float, grid.dx)
         u, v = grid_weyl_ops(grid, alpha, beta)
         phase = np.exp(-1j * alpha * beta)
-        rel = operator_norm(u @ v - phase * v @ u)
         report["grid"] = {
             "N": grid.N,
             "L": grid.L,
             "alpha": alpha,
             "beta": beta,
-            "relation_residual": rel,
+            "relation_residual": operator_norm(u @ v - phase * v @ u),
         }
-        ok = ok and rel <= 1e-10
+        tols["grid"] = {"relation_residual": 1e-10}
 
     if not report:
         raise ConfigError("weyl config needs 'n' and/or 'grid'")
-    dump_json(report, out / "weyl_report.json")
-    _sidecar(out / "weyl_report.json",
-             {"clock_shift_tol": 1e-12, "grid_tol": 1e-10}, _config_hash(cfg))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    checks = [_check(f"{section}.{key}", report[section][key], tol)
+              for section, bounds in tols.items() for key, tol in bounds.items()]
+    return {"weyl_report.json": (report, tols)}, checks
 
 
 def _grid_from_cfg(cfg: dict) -> Grid1D:
@@ -228,7 +222,7 @@ def _potential_from_cfg(cfg: dict):
         raise ConfigError(f"bad potential parameters: {exc}") from exc
 
 
-def cmd_evolve(cfg: dict, out: Path, seed: int) -> int:
+def cmd_evolve(cfg: dict, seed: int):
     grid = _grid_from_cfg(cfg)
     potential = _potential_from_cfg(cfg)
     run = EvolutionConfig(
@@ -246,21 +240,16 @@ def cmd_evolve(cfg: dict, out: Path, seed: int) -> int:
     _, traj = run_trajectory(psi0, run)
     csv_text = trajectory_to_csv({"t": traj.times, "x_mean": traj.x_mean, "p_mean": traj.p_mean,
                                   "energy": traj.energy, "norm": traj.norm})
-    (out / "trajectory.csv").write_text(csv_text)
     norm_drift = float(np.abs(traj.norm - 1.0).max())
     e0 = traj.energy[0]
     energy_drift = float(np.abs(traj.energy - e0).max() / max(abs(e0), 1e-30))
     summary = {"norm_drift": norm_drift, "energy_drift_rel": energy_drift}
-    dump_json(summary, out / "evolve_summary.json")
-    cfg_hash = _config_hash(cfg)
     tols = {"norm_drift": 1e-8, "energy_drift_rel": 1e-6}
-    for name in ("trajectory.csv", "evolve_summary.json"):
-        _sidecar(out / name, tols, cfg_hash)
-    ok = all(summary[name] <= tols[name] for name in tols)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return ({"trajectory.csv": (csv_text, tols), "evolve_summary.json": (summary, tols)},
+            [_check(name, summary[name], tol) for name, tol in tols.items()])
 
 
-def cmd_spectrum(cfg: dict, out: Path, seed: int) -> int:
+def cmd_spectrum(cfg: dict, seed: int):
     kind = cfg.get("kind", "grid")
     if kind == "grid":
         grid = _grid_from_cfg(cfg)
@@ -277,9 +266,8 @@ def cmd_spectrum(cfg: dict, out: Path, seed: int) -> int:
     else:
         raise ConfigError(f"unknown spectrum kind {kind!r}")
 
-    dump_json({"kind": kind, "eigenvalues": [float(v) for v in vals]},
-              out / "spectrum.json")
-    ok = True
+    outputs = {"spectrum.json": ({"kind": kind, "eigenvalues": [float(v) for v in vals]}, {})}
+    checks = []
     if "expect" in cfg:
         expected = _field(cfg["expect"], "values", lambda v: np.asarray(v, dtype=float))
         tol = _field(cfg["expect"], "tol", float, 1e-4)
@@ -287,17 +275,14 @@ def cmd_spectrum(cfg: dict, out: Path, seed: int) -> int:
         err = np.abs(vals[: expected.size] - expected)
         if rel:
             err = err / np.abs(expected)
-        ok = bool(np.all(err <= tol))
-        dump_json(
-            {"max_error": float(err.max()), "tol": tol, "relative": rel, "ok": ok},
-            out / "spectrum_check.json",
-        )
-        _sidecar(out / "spectrum_check.json", {"tol": tol}, _config_hash(cfg))
-    _sidecar(out / "spectrum.json", {}, _config_hash(cfg))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        check = _check("max_error", float(err.max()), tol)  # a NaN error fails
+        outputs["spectrum_check.json"] = ({"max_error": check["value"], "tol": tol,
+                                           "relative": rel, "ok": check["ok"]}, {"tol": tol})
+        checks.append(check)
+    return outputs, checks
 
 
-def cmd_classical(cfg: dict, out: Path, seed: int) -> int:
+def cmd_classical(cfg: dict, seed: int):
     rows = bracket_table(_field(cfg, "points", int, 100), np.random.default_rng(seed))
     worst = max([0.0] + [row[-1] for row in rows])
     buf = io.StringIO()
@@ -305,7 +290,6 @@ def cmd_classical(cfg: dict, out: Path, seed: int) -> int:
     writer.writerow(["relation", "point", "lhs", "rhs", "abs_err"])
     for label, i, *values in rows:
         writer.writerow([label, i, *map(repr, values)])
-    (out / "bracket_table.csv").write_text(buf.getvalue())
 
     # harmonic trajectory with analytic gradients
     dt = _field(cfg, "dt", float, 1e-2)
@@ -316,19 +300,16 @@ def cmd_classical(cfg: dict, out: Path, seed: int) -> int:
     if not (ok := np.isfinite(energies)).all():
         HARMONIC(traj[ok.argmin()])  # raises its domain error
     csv_text = trajectory_to_csv({"t": times, "q": q, "p": p, "H": energies})
-    (out / "harmonic_trajectory.csv").write_text(csv_text)
     drift = float(np.abs(energies - energies[0]).max())
 
-    dump_json(
-        {"max_bracket_error": worst, "energy_drift": drift},
-        out / "classical_summary.json",
-    )
-    cfg_hash = _config_hash(cfg)
     tols = {"bracket_tol": 1e-6, "energy_drift_tol": 1e-4}
-    for name in ("bracket_table.csv", "harmonic_trajectory.csv", "classical_summary.json"):
-        _sidecar(out / name, tols, cfg_hash)
-    ok = worst <= tols["bracket_tol"] and drift < tols["energy_drift_tol"]
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    summary = {"max_bracket_error": worst, "energy_drift": drift}
+    outputs = {"bracket_table.csv": (buf.getvalue(), tols),
+               "harmonic_trajectory.csv": (csv_text, tols),
+               "classical_summary.json": (summary, tols)}
+    tol = tols["energy_drift_tol"]
+    return outputs, [_check("max_bracket_error", worst, tols["bracket_tol"]),
+                     _check("energy_drift", drift, tol, drift < tol)]  # strict
 
 
 COMMANDS = {
@@ -353,8 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="overrides the config seed (default: config, else 0)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility (must be >= 1); runs serially")
     return parser
 
 
@@ -365,7 +344,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     start = time.monotonic()
     out = Path(args.out)
-    cfg_hash = seed = error = None
+    cfg_hash = seed = error = checks = None
     code = EXIT_CONFIG_ERROR
     try:
         with open(args.config) as fh:
@@ -373,8 +352,6 @@ def main(argv=None) -> int:
         cfg_hash = _config_hash(cfg)
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
         seed = args.seed if args.seed is not None else _field(cfg, "seed", int, 0)
         if seed < 0:
             raise ConfigError("seed must be >= 0")
@@ -383,11 +360,21 @@ def main(argv=None) -> int:
         error = exc
     else:
         try:
-            code = COMMANDS[args.command](cfg, out, seed)
+            outputs, checks = COMMANDS[args.command](cfg, seed)
         except NumericalError as exc:
             code, error = EXIT_NUMERICAL, exc
         except (ConfigError, CstarmechError) as exc:
             error = exc
+        else:
+            for name, (body, tolerances) in outputs.items():
+                path = out / name
+                if isinstance(body, str):
+                    path.write_text(body)
+                else:
+                    dump_json(body, path)
+                dump_json({"tolerances": tolerances, "config_sha256": cfg_hash},
+                          path.with_suffix(path.suffix + ".meta.json"))
+            code = EXIT_OK if all(c["ok"] for c in checks) else EXIT_CHECK_FAILED
     if error is not None:
         kind = "numerical failure" if code == EXIT_NUMERICAL else "config error"
         print(f"{kind}: {error}", file=sys.stderr)
@@ -403,6 +390,7 @@ def main(argv=None) -> int:
         "exit_code": code,
         "error": None if error is None else {"class": type(error).__name__,
                                              "message": str(error)},
+        "checks": checks,
     }
     try:
         out.mkdir(parents=True, exist_ok=True)

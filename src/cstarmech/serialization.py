@@ -76,13 +76,9 @@ def gns_result_to_json(res: GnsResult) -> dict:
 
 def wavefunction_to_csv(psi: WaveFunction) -> tuple[str, dict]:
     """CSV body (columns x, re, im) plus the grid-metadata sidecar dict."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "re_psi", "im_psi"])
-    for xj, z in zip(psi.grid.points, psi.samples):
-        writer.writerow([repr(float(xj)), repr(float(z.real)), repr(float(z.imag))])
-    meta = {"N": psi.grid.N, "L": psi.grid.L, "dx": psi.grid.dx}
-    return buf.getvalue(), meta
+    body = trajectory_to_csv({"x": psi.grid.points, "re_psi": psi.samples.real,
+                              "im_psi": psi.samples.imag})
+    return body, {"N": psi.grid.N, "L": psi.grid.L, "dx": psi.grid.dx}
 
 
 def wavefunction_from_csv(body: str, meta: dict) -> WaveFunction:

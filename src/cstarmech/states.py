@@ -68,6 +68,16 @@ def _traces(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=1, axis2=2)
 
 
+def _require_selfadjoint(m: np.ndarray, mh: np.ndarray, tol: float, error, what: str):
+    """Flag each row whose m - m* exceeds tol max(||m||, 1) or overflows."""
+    with np.errstate(over="ignore"):
+        d = m - mh
+    overflow = ~np.isfinite(d).all(axis=(1, 2))
+    d[overflow] = 0
+    scale = np.maximum(_operator_norms(m), 1.0)
+    _first_bad(overflow | (_operator_norms(d) > tol * scale), error, what)
+
+
 def check_densities(b) -> np.ndarray:
     """Check a stack of density matrices and return it as a complex array.
 
@@ -78,13 +88,13 @@ def check_densities(b) -> np.ndarray:
     """
     m = _as_stack(b, InvalidStateError, "density")
     mh = _adjoints(m)
-    scale = np.maximum(_operator_norms(m), 1.0)
-    _first_bad(_operator_norms(m - mh) > _STATE_TOL * scale, InvalidStateError,
-               "density matrix is not self-adjoint")
+    _require_selfadjoint(m, mh, _STATE_TOL, InvalidStateError,
+                         "density matrix is not self-adjoint")
     traces = _traces(m)
     _first_bad(np.abs(traces - 1.0) > _STATE_TOL, InvalidStateError,
                "trace must be 1, got {}", traces)
-    _first_bad(np.linalg.eigvalsh((m + mh) / 2).min(axis=1) < -_STATE_TOL,
+    # halves first: m + mh can overflow where m / 2 + mh / 2 cannot
+    _first_bad(np.linalg.eigvalsh(m / 2 + mh / 2).min(axis=1) < -_STATE_TOL,
                InvalidStateError, "density matrix has a negative eigenvalue")
     return m
 
@@ -97,9 +107,8 @@ def check_observables(a) -> np.ndarray:
     the first failing row.
     """
     m = _as_stack(a, InvalidInputError, "observable")
-    scale = np.maximum(_operator_norms(m), 1.0)
-    _first_bad(_operator_norms(m - _adjoints(m)) > _OBSERVABLE_TOL * scale,
-               NonObservableError, "observable must be self-adjoint")
+    _require_selfadjoint(m, _adjoints(m), _OBSERVABLE_TOL, NonObservableError,
+                         "observable must be self-adjoint")
     return m
 
 

@@ -49,3 +49,31 @@ def random_generators(rng, n, count, kind):
             g = u @ g @ u.conj().T
         gens.append(AlgebraElement(g))
     return gens
+
+
+# one clean run of every CLI subcommand (acceptance test_10, tests/test_cli.py)
+CLI_CONFIGS = {
+    "uncertainty": {"dim": 3, "samples": 40, "seed": 6},
+    "gns": {
+        "generators": [
+            [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+        ],
+        "state": {"density": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+    },
+    "weyl": {"n": 8, "grid": {"N": 32, "L": 8.0}},
+    "evolve": {
+        "grid": {"N": 128, "L": 16.0},
+        "potential": {"name": "harmonic"},
+        "dt": 1e-3,
+        "t_final": 0.1,
+        "initial": {"x0": 0.5, "sigma": 0.8},
+    },
+    "spectrum": {
+        "kind": "grid",
+        "grid": {"N": 128, "L": 16.0},
+        "potential": {"name": "harmonic"},
+        "k": 3,
+    },
+    "classical": {"points": 10, "dt": 1e-2, "steps": 200, "seed": 6},
+}

@@ -50,6 +50,8 @@ from cstarmech.weyl import (
     heisenberg_obstruction_report,
 )
 
+from conftest import CLI_CONFIGS
+
 SEED = 20240817
 
 
@@ -292,33 +294,8 @@ def test_09_classical_baseline():
 
 
 def test_10_cli_determinism(tmp_path):
-    configs = {
-        "uncertainty": {"dim": 3, "samples": 40, "seed": 6},
-        "gns": {
-            "generators": [
-                [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
-                [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
-            ],
-            "state": {"density": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
-        },
-        "weyl": {"n": 8, "grid": {"N": 32, "L": 8.0}},
-        "evolve": {
-            "grid": {"N": 128, "L": 16.0},
-            "potential": {"name": "harmonic"},
-            "dt": 1e-3,
-            "t_final": 0.1,
-            "initial": {"x0": 0.5, "sigma": 0.8},
-        },
-        "spectrum": {
-            "kind": "grid",
-            "grid": {"N": 128, "L": 16.0},
-            "potential": {"name": "harmonic"},
-            "k": 3,
-        },
-        "classical": {"points": 10, "dt": 1e-2, "steps": 200, "seed": 6},
-    }
     checked = 0
-    for command, cfg in configs.items():
+    for command, cfg in CLI_CONFIGS.items():
         cfg_path = tmp_path / f"{command}.json"
         cfg_path.write_text(json.dumps(cfg))
         outs = []

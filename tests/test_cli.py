@@ -1,4 +1,6 @@
 import argparse
+import ast
+import inspect
 import json
 import warnings
 
@@ -13,7 +15,7 @@ from cstarmech.sampling import random_density, random_selfadjoint
 from cstarmech.serialization import dump_json, matrix_to_json, trajectory_to_csv
 from cstarmech.states import uncertainty_check
 
-from conftest import SX, SY, SZ
+from conftest import CLI_CONFIGS, SX, SY, SZ
 
 
 def write_cfg(tmp_path, cfg, name="config.json"):
@@ -22,14 +24,12 @@ def write_cfg(tmp_path, cfg, name="config.json"):
     return p
 
 
-def run(tmp_path, command, cfg, seed=None, jobs=None, outname="out"):
+def run(tmp_path, command, cfg, seed=None, outname="out"):
     cfg_path = write_cfg(tmp_path, cfg, name=f"{command}_{outname}.json")
     out = tmp_path / outname
     argv = [command, "--config", str(cfg_path), "--out", str(out)]
     if seed is not None:
         argv += ["--seed", str(seed)]
-    if jobs is not None:
-        argv += ["--jobs", str(jobs)]
     return main(argv), out
 
 
@@ -51,15 +51,6 @@ class TestUncertainty:
         assert summary["violations"] == 0
         assert (out / "uncertainty.csv").exists()
         assert (out / "manifest.json").exists()
-
-    def test_jobs_match_serial(self, tmp_path):
-        cfg = {"dim": 2, "samples": 32}
-        code1, out1 = run(tmp_path, "uncertainty", cfg, seed=5, outname="serial")
-        code2, out2 = run(tmp_path, "uncertainty", cfg, seed=5, jobs=4, outname="par")
-        assert code1 == code2 == 0
-        assert (out1 / "uncertainty.csv").read_bytes() == (
-            out2 / "uncertainty.csv"
-        ).read_bytes()
 
     def test_bad_dim_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "uncertainty", {"dim": 1})
@@ -160,6 +151,19 @@ class TestWeyl:
         rep = json.loads((out / "weyl_report.json").read_text())
         assert rep["clock_shift"]["relation_residual"] <= 1e-12 * 16
         assert rep["grid"]["relation_residual"] <= 1e-10
+        # the sidecar names every bound the checks use
+        tols = json.loads((out / "weyl_report.json.meta.json").read_text())["tolerances"]
+        assert tols == {"clock_shift": {"relation_residual": 1e-12 * 16,
+                                        "unitarity_residual": 1e-12,
+                                        "order_residual": 1e-10 * 16},
+                        "grid": {"relation_residual": 1e-10}}
+        checks = read_manifest(out)["checks"]
+        assert [c["name"] for c in checks] == [
+            "clock_shift.relation_residual", "clock_shift.unitarity_residual",
+            "clock_shift.order_residual", "grid.relation_residual"]
+        for c in checks:
+            section, key = c["name"].split(".")
+            assert c["tol"] == tols[section][key]
 
     def test_empty_config_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "weyl", {})
@@ -299,13 +303,14 @@ class TestHarness:
         code = main(["weyl", "--config", str(p), "--out", str(tmp_path / "o")])
         assert code == 2
 
-    def test_bad_jobs(self, tmp_path):
+    def test_jobs_is_a_usage_error(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, {"n": 4})
-        code = main(
-            ["weyl", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
-             "--jobs", "0"]
-        )
-        assert code == 2
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["weyl", "--config", str(cfg_path), "--out", str(out), "--jobs", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed(self, tmp_path):
         code, out = run(tmp_path, "uncertainty", {"dim": 2, "samples": 3}, seed=-1)
@@ -438,3 +443,51 @@ class TestManifestOnEveryExit:
         assert manifest["error"] == {"class": "NumericalError",
                                      "message": "eigensolver did not converge"}
         assert capsys.readouterr().err == "numerical failure: eigensolver did not converge\n"
+
+
+SPECTRUM_MISS = {"kind": "grid", "grid": {"N": 128, "L": 16.0},
+                 "potential": {"name": "harmonic"}, "k": 2,
+                 "expect": {"values": [0.4, 1.4], "tol": 1e-6}}
+
+
+class TestRunRecord:
+    """Each subcommand returns its outputs and checks; main writes them."""
+
+    @pytest.mark.parametrize("command, cfg, want", [
+        *((command, cfg, 0) for command, cfg in CLI_CONFIGS.items()),
+        ("spectrum", SPECTRUM_MISS, 1),
+        ("weyl", {"n": 8, "grid": {"N": 32, "L": 8.0}, "alpha": 1.0}, 1),
+    ])
+    def test_checks_decide_the_exit_code(self, tmp_path, command, cfg, want):
+        code, out = run(tmp_path, command, cfg)
+        checks = read_manifest(out)["checks"]
+        assert code == want == int(not all(c["ok"] for c in checks))
+        for c in checks:
+            assert set(c) == {"name", "value", "tol", "ok"}
+            assert isinstance(c["name"], str) and isinstance(c["ok"], bool)
+            assert all(v is None or isinstance(v, (bool, int, float)) for v in
+                       (c["value"], c["tol"]))
+        if command != "spectrum" or "expect" in cfg:
+            assert checks
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("classical", {"points": 2, "dt": 2.5, "steps": 2000}),
+        ("spectrum", dict(SPECTRUM_MISS, expect={"values": "abc"})),
+    ])
+    def test_failed_run_leaves_only_the_manifest(self, tmp_path, command, cfg):
+        code, out = run(tmp_path, command, cfg)
+        assert code == 2
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert read_manifest(out)["checks"] is None
+
+    def test_commands_do_no_file_io(self):
+        tree = ast.parse(inspect.getsource(cli))
+        commands = [f for f in tree.body
+                    if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+        assert sorted(f.name for f in commands) == sorted(
+            f"cmd_{name}" for name in cli.COMMANDS)
+        for f in commands:
+            assert [a.arg for a in f.args.args] == ["cfg", "seed"], f.name
+            called = {getattr(n.func, "id", getattr(n.func, "attr", None))
+                      for n in ast.walk(f) if isinstance(n, ast.Call)}
+            assert not called & {"open", "write_text", "dump_json", "mkdir"}, f.name

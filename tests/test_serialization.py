@@ -126,6 +126,11 @@ class TestTrajectoryCsv:
         text = trajectory_to_csv(columns)
         assert text == reference_trajectory_csv(columns)
         assert text.split("\n")[1:4] == ["nan,0.0", "inf,1.0", "-inf,2.0"]
+        # wavefunction_to_csv writes its body through the same formatter
+        psi = WaveFunction.gaussian(Grid1D(N=16, L=4.0), x0=0.3, p0=-1.1, sigma=0.5)
+        columns = {"x": psi.grid.points, "re_psi": psi.samples.real,
+                   "im_psi": psi.samples.imag}
+        assert wavefunction_to_csv(psi)[0] == reference_trajectory_csv(columns)
 
     def test_zero_rows_is_header_only(self):
         assert trajectory_to_csv({"t": [], "x": []}) == "t,x\n"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -40,9 +42,11 @@ class TestDensityState:
     def test_rejects_non_selfadjoint(self):
         with pytest.raises(InvalidStateError):
             DensityState(np.array([[0.5, 0.5], [0.0, 0.5]]))
-        # b - b* overflows; its NaN norm would pass every ">" check
-        with pytest.raises(InvalidInputError, match="must be finite"):
-            DensityState([[0.5, 1e308], [-1e308, 0.5]])
+        # b - b* overflows: not self-adjoint, and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match="^density matrix is not self-adjoint$"):
+                DensityState([[0.5, 1e308], [-1e308, 0.5]])
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(InvalidStateError):
@@ -179,8 +183,10 @@ class TestVariance:
     def test_rejects_non_selfadjoint(self, rng):
         with pytest.raises(NonObservableError):
             variance(random_density(rng, 2), AlgebraElement([[0, 1], [0, 0]]))
-        with pytest.raises(InvalidInputError, match="must be finite"):
-            check_observables([[[0, 1e308], [-1e308, 0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonObservableError, match="^observable must be self-adjoint$"):
+                check_observables([[[0, 1e308], [-1e308, 0]]])
 
 
 class TestUncertainty:
@@ -295,9 +301,12 @@ class TestStacks:
     @pytest.mark.parametrize("plant, error", [
         ("trace", InvalidStateError),
         ("sign", InvalidStateError),
+        ("overflowing sign", InvalidStateError),
         ("asymmetry", InvalidStateError),
+        ("overflowing asymmetry", InvalidStateError),
         ("nan density", InvalidStateError),
         ("a1 not self-adjoint", NonObservableError),
+        ("a1 overflowing asymmetry", NonObservableError),
         ("a2 not self-adjoint", NonObservableError),
         ("a2 infinite", InvalidInputError),
     ])
@@ -307,17 +316,24 @@ class TestStacks:
             b[k] *= 1.5
         elif plant == "sign":
             b[k] = np.diag([1.5, -0.25, -0.25])
+        elif plant == "overflowing sign":  # self-adjoint, trace one, b + b* overflows
+            b[k] = [[0.5, 1e308, 0], [1e308, 0.25, 0], [0, 0, 0.25]]
         elif plant == "asymmetry":
             b[k, 0, 1] += 1e-6
+        elif plant == "overflowing asymmetry":  # b - b* overflows, all else finite
+            b[k, 0, 1], b[k, 1, 0] = 1e308, -1e308
         elif plant == "nan density":
             b[k, 1, 1] = np.nan
         elif plant == "a1 not self-adjoint":
             a1[k, 0, 2] += 1e-6
+        elif plant == "a1 overflowing asymmetry":
+            a1[k, 0, 1], a1[k, 1, 0] = 1e308, -1e308
         elif plant == "a2 not self-adjoint":
             a2[k, 2, 1] += 1j
         else:
             a2[k, 0, 0] = np.inf
-        with pytest.raises(error, match=rf"^row {k}: "):
+        with warnings.catch_warnings(), pytest.raises(error, match=rf"^row {k}: "):
+            warnings.simplefilter("error")
             uncertainty_bounds(b, a1, a2)
 
     def test_variance_floor_names_the_row(self):
