@@ -170,7 +170,6 @@ class AlgebraBasis:
 
     dim: int
     elements: tuple
-    contains_identity: bool = True
     tol: float = field(default=DEFAULT_TOL)
 
     def __len__(self):
@@ -184,13 +183,6 @@ class AlgebraBasis:
         """Expansion coefficients of ``m`` in the (orthonormal) basis."""
         stack = self.matrices()
         return np.einsum("kij,ij->k", stack.conj(), m)
-
-    def expand(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("k,kij->ij", coeffs, self.matrices())
-
-    def projection_residual(self, m: np.ndarray) -> float:
-        """Frobenius distance from ``m`` to the basis span."""
-        return float(np.linalg.norm(m - self.expand(self.coefficients(m))))
 
 
 def _orthonormal_rows(rows: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -237,7 +229,7 @@ def generate_algebra(generators, tol: float = DEFAULT_TOL) -> AlgebraBasis:
         basis = new_basis
 
     elements = tuple(AlgebraElement(v.reshape(n, n)) for v in basis)
-    return AlgebraBasis(dim=n, elements=elements, contains_identity=True, tol=tol)
+    return AlgebraBasis(dim=n, elements=elements, tol=tol)
 
 
 def is_commutative(basis: AlgebraBasis, tol: float = DEFAULT_TOL) -> bool:

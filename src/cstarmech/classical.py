@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -62,18 +62,6 @@ class PhasePoint:
         object.__setattr__(z, "q", q)
         object.__setattr__(z, "p", p)
         return z
-
-
-class _Point(NamedTuple):
-    """An unchecked (q, p), for observables evaluated inside the flow and the
-    finite differences on arrays that were checked as PhasePoint checks."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.q.size
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -127,7 +115,7 @@ def _default_step(z: PhasePoint) -> float:
     return 1e-5 * scale
 
 
-def _gradient(a: ClassicalObservable, z, h: float | None):
+def _gradient(a: ClassicalObservable, z: PhasePoint, h: float | None):
     """(dA/dq, dA/dp) at z, analytic when available, else central differences
     with step h (``_default_step(z)`` when None)."""
     if a.gradient is not None:
@@ -141,10 +129,10 @@ def _gradient(a: ClassicalObservable, z, h: float | None):
     for i in range(n):
         dq = np.zeros(n)
         dq[i] = h
-        gq[i] = (a(_Point(_coords(z.q + dq, z.p), z.p))
-                 - a(_Point(_coords(z.q - dq, z.p), z.p))) / (2 * h)
-        gp[i] = (a(_Point(z.q, _coords(z.p + dq, z.q)))
-                 - a(_Point(z.q, _coords(z.p - dq, z.q)))) / (2 * h)
+        gq[i] = (a(PhasePoint._checked(_coords(z.q + dq, z.p), z.p))
+                 - a(PhasePoint._checked(_coords(z.q - dq, z.p), z.p))) / (2 * h)
+        gp[i] = (a(PhasePoint._checked(z.q, _coords(z.p + dq, z.q)))
+                 - a(PhasePoint._checked(z.q, _coords(z.p - dq, z.q)))) / (2 * h)
     return gq, gp
 
 
@@ -205,6 +193,38 @@ def is_dispersion_free(
     return True
 
 
+def _leapfrog(h_obs: ClassicalObservable, q0: np.ndarray, p0: np.ndarray, dt: float,
+              steps: int, fd_step: float | None = None):
+    """:func:`hamilton_flow` from the coordinates of a PhasePoint, as float
+    arrays (qs, ps) of shape (steps+1, n), one row per step."""
+    if dt <= 0:
+        raise InvalidInputError("dt must be positive")
+    if steps < 0:
+        raise InvalidInputError("steps must be nonnegative")
+
+    def force(q: np.ndarray, p: np.ndarray):
+        gq, gp = _gradient(h_obs, PhasePoint._checked(q, p), fd_step)
+        if not (_all_finite(gq) and _all_finite(gp)):
+            raise EvaluationDomainError("non-finite force during flow")
+        return gq, gp
+
+    # the state is checked as each new array is made, where the
+    # PhasePoint built from it would have checked it; _coords refuses an
+    # overflowed (non-finite) array, so numpy need not warn about it too
+    qs, ps = np.empty((steps + 1, q0.size)), np.empty((steps + 1, p0.size))
+    qs[0], ps[0] = q, p = q0, p0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            try:
+                p_half = _coords(p - 0.5 * dt * force(q, p)[0], q)
+                q = _coords(q + dt * force(q, p_half)[1], p_half)
+                p = _coords(p_half - 0.5 * dt * force(q, p_half)[0], q)
+            except EvaluationDomainError as exc:
+                raise EvaluationDomainError(f"flow failed at step {step}: {exc}") from exc
+            qs[step + 1], ps[step + 1] = q, p
+    return qs, ps
+
+
 def hamilton_flow(
     h_obs: ClassicalObservable,
     z0: PhasePoint,
@@ -215,37 +235,12 @@ def hamilton_flow(
     """Leapfrog (Stoermer-Verlet) trajectory for separable H = T(p) + V(q).
 
     Returns (times, trajectory) with trajectory a list of steps+1
-    PhasePoints. Separability is what makes the kick-drift-kick splitting
-    symplectic; gradients come from h_obs.gradient when present.
+    PhasePoints, the first being z0. Separability is what makes the
+    kick-drift-kick splitting symplectic; gradients come from
+    h_obs.gradient when present.
     """
-    if dt <= 0:
-        raise InvalidInputError("dt must be positive")
-    if steps < 0:
-        raise InvalidInputError("steps must be nonnegative")
-
-    def force(q: np.ndarray, p: np.ndarray):
-        gq, gp = _gradient(h_obs, _Point(q, p), fd_step)
-        if not (_all_finite(gq) and _all_finite(gp)):
-            raise EvaluationDomainError("non-finite force during flow")
-        return gq, gp
-
-    # the state is checked as each new array is made, where the
-    # PhasePoint built from it would have checked it; _coords refuses an
-    # overflowed (non-finite) array, so numpy need not warn about it too
-    q, p = z0.q.copy(), z0.p.copy()
-    qs, ps = [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
-            try:
-                p_half = _coords(p - 0.5 * dt * force(q, p)[0], q)
-                q = _coords(q + dt * force(q, p_half)[1], p_half)
-                p = _coords(p_half - 0.5 * dt * force(q, p_half)[0], q)
-            except EvaluationDomainError as exc:
-                raise EvaluationDomainError(f"flow failed at step {step}: {exc}") from exc
-            qs.append(q)
-            ps.append(p)
-    times = dt * np.arange(steps + 1)
-    return times, [z0] + list(map(PhasePoint._checked, qs, ps))
+    qs, ps = _leapfrog(h_obs, z0.q, z0.p, dt, steps, fd_step)
+    return dt * np.arange(steps + 1), [z0] + list(map(PhasePoint._checked, qs[1:], ps[1:]))
 
 
 # (label, A, B, {A, B} as a function of z): canonical relations on R^6

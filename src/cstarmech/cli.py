@@ -10,9 +10,7 @@ exits 0 only if every check passed (1 check failure, 2 config error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import sys
 import time
@@ -22,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import AlgebraElement, _operator_norms, generate_algebra, operator_norm
-from .classical import HARMONIC, PhasePoint, bracket_table, hamilton_flow
+from .classical import HARMONIC, PhasePoint, _leapfrog, bracket_table
 from .dynamics import (
     EvolutionConfig,
     RadialGrid,
@@ -39,6 +37,7 @@ from .serialization import (
     dump_json,
     gns_result_to_json,
     matrix_from_json,
+    table_to_csv,
     trajectory_to_csv,
 )
 from .states import DensityState, uncertainty_bounds, uncertainty_check
@@ -270,6 +269,9 @@ def cmd_spectrum(cfg: dict, seed: int):
     checks = []
     if "expect" in cfg:
         expected = _field(cfg["expect"], "values", lambda v: np.asarray(v, dtype=float))
+        if not 1 <= expected.size <= len(vals):
+            raise ConfigError(f"expect.values must hold 1 to {len(vals)} values, "
+                              f"got {expected.size}")
         tol = _field(cfg["expect"], "tol", float, 1e-4)
         rel = bool(cfg["expect"].get("relative", False))
         err = np.abs(vals[: expected.size] - expected)
@@ -285,26 +287,23 @@ def cmd_spectrum(cfg: dict, seed: int):
 def cmd_classical(cfg: dict, seed: int):
     rows = bracket_table(_field(cfg, "points", int, 100), np.random.default_rng(seed))
     worst = max([0.0] + [row[-1] for row in rows])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["relation", "point", "lhs", "rhs", "abs_err"])
-    for label, i, *values in rows:
-        writer.writerow([label, i, *map(repr, values)])
+    bracket_csv = table_to_csv(["relation", "point", "lhs", "rhs", "abs_err"], rows)
 
-    # harmonic trajectory with analytic gradients
+    # harmonic trajectory from z0 = (1, 0) with analytic gradients
     dt = _field(cfg, "dt", float, 1e-2)
     steps = _field(cfg, "steps", int, 10000)
-    times, traj = hamilton_flow(HARMONIC, PhasePoint([1.0], [0.0]), dt, steps)
-    q, p = np.array([(z.q[0], z.p[0]) for z in traj]).T
-    energies = 0.5 * (p * p + q * q)  # HARMONIC(z), bit for bit
-    if not (ok := np.isfinite(energies)).all():
-        HARMONIC(traj[ok.argmin()])  # raises its domain error
-    csv_text = trajectory_to_csv({"t": times, "q": q, "p": p, "H": energies})
+    qs, ps = _leapfrog(HARMONIC, np.ones(1), np.zeros(1), dt, steps)
+    q, p = qs[:, 0], ps[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        energies = 0.5 * (p * p + q * q)  # HARMONIC(z), bit for bit
+        if not (ok := np.isfinite(energies)).all():
+            HARMONIC(PhasePoint(qs[ok.argmin()], ps[ok.argmin()]))  # raises its domain error
+    csv_text = trajectory_to_csv({"t": dt * np.arange(steps + 1), "q": q, "p": p, "H": energies})
     drift = float(np.abs(energies - energies[0]).max())
 
     tols = {"bracket_tol": 1e-6, "energy_drift_tol": 1e-4}
     summary = {"max_bracket_error": worst, "energy_drift": drift}
-    outputs = {"bracket_table.csv": (buf.getvalue(), tols),
+    outputs = {"bracket_table.csv": (bracket_csv, tols),
                "harmonic_trajectory.csv": (csv_text, tols),
                "classical_summary.json": (summary, tols)}
     tol = tols["energy_drift_tol"]

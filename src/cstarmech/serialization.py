@@ -25,6 +25,7 @@ __all__ = [
     "gns_result_to_json",
     "wavefunction_to_csv",
     "wavefunction_from_csv",
+    "table_to_csv",
     "trajectory_to_csv",
 ]
 
@@ -92,18 +93,24 @@ def wavefunction_from_csv(body: str, meta: dict) -> WaveFunction:
     return WaveFunction(grid, vals)
 
 
+def table_to_csv(header, rows) -> str:
+    """CSV from a header and rows, cells stringified and quoted by csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def trajectory_to_csv(columns: dict) -> str:
     """CSV from named, equal-length columns (insertion order preserved)."""
     names = list(columns)
     arrays = [np.asarray(columns[n]) for n in names]
     if any(a.shape != arrays[0].shape for a in arrays):
         raise InvalidInputError("all trajectory columns must have equal length")
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(names)
     # a float repr never needs CSV quoting, so the rows skip csv.writer
     cols = [map(repr, map(float, a.tolist())) for a in arrays]
-    buf.writelines(",".join(row) + "\n" for row in zip(*cols))
-    return buf.getvalue()
+    return table_to_csv(names, ()) + "".join(",".join(row) + "\n" for row in zip(*cols))
 
 
 def dump_json(obj, path):

@@ -1,6 +1,8 @@
 import argparse
 import ast
+import csv
 import inspect
+import io
 import json
 import warnings
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from cstarmech import cli
-from cstarmech.classical import HARMONIC, PhasePoint, hamilton_flow
+from cstarmech.classical import HARMONIC, PhasePoint, bracket_table, hamilton_flow
 from cstarmech.cli import main
 from cstarmech.errors import NumericalError
 from cstarmech.sampling import random_density, random_selfadjoint
@@ -255,8 +257,14 @@ class TestClassical:
         summary = json.loads((out / "classical_summary.json").read_text())
         assert summary["max_bracket_error"] <= 1e-6
         assert summary["energy_drift"] < 1e-4
-        assert (out / "bracket_table.csv").exists()
         assert (out / "harmonic_trajectory.csv").exists()
+        # the bracket table as a plain csv.writer writes its rows
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["relation", "point", "lhs", "rhs", "abs_err"])
+        for label, i, *values in bracket_table(20, np.random.default_rng(3)):
+            writer.writerow([label, i, *map(repr, values)])
+        assert (out / "bracket_table.csv").read_text() == buf.getvalue()
 
     def test_trajectory_columns_match_the_observable(self, tmp_path):
         # the H column holds HARMONIC(z) of every point, bit for bit
@@ -280,14 +288,19 @@ class TestClassical:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (out / "harmonic_trajectory.csv").exists()
 
-    def test_flow_overflow_is_one_stderr_line(self, tmp_path, capsys):
-        # at dt = 2.5 the leapfrog itself overflows before step 2000; numpy
-        # adds no warning to the refused phase point
+    @pytest.mark.parametrize("steps, message", [
+        (2000, "phase point must be finite"),
+        (370, "observable 'harmonic' non-finite at z"),
+    ], ids=["flow", "energy"])
+    def test_flow_overflow_is_one_stderr_line(self, tmp_path, capsys, steps, message):
+        # at dt = 2.5 the leapfrog itself overflows before step 2000, and the
+        # energy of its finite coordinates before step 370; numpy adds no
+        # warning to the refused phase point or energy
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out = run(tmp_path, "classical", {"points": 2, "dt": 2.5, "steps": 2000})
+            code, out = run(tmp_path, "classical", {"points": 2, "dt": 2.5, "steps": steps})
         assert code == read_manifest(out)["exit_code"] == 2
-        assert capsys.readouterr().err == "config error: phase point must be finite\n"
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 class TestHarness:
@@ -473,6 +486,8 @@ class TestRunRecord:
     @pytest.mark.parametrize("command, cfg", [
         ("classical", {"points": 2, "dt": 2.5, "steps": 2000}),
         ("spectrum", dict(SPECTRUM_MISS, expect={"values": "abc"})),
+        ("spectrum", dict(SPECTRUM_MISS, expect={"values": []})),
+        ("spectrum", dict(SPECTRUM_MISS, expect={"values": [0.5, 1.5, 2.5]})),
     ])
     def test_failed_run_leaves_only_the_manifest(self, tmp_path, command, cfg):
         code, out = run(tmp_path, command, cfg)
