@@ -269,11 +269,11 @@ def cmd_spectrum(cfg: dict, seed: int):
     checks = []
     if "expect" in cfg:
         expected = _field(cfg["expect"], "values", lambda v: np.asarray(v, dtype=float))
-        if not 1 <= expected.size <= len(vals):
-            raise ConfigError(f"expect.values must hold 1 to {len(vals)} values, "
-                              f"got {expected.size}")
-        tol = _field(cfg["expect"], "tol", float, 1e-4)
         rel = bool(cfg["expect"].get("relative", False))
+        if expected.ndim > 1 or not 1 <= expected.size <= len(vals) or rel and not expected.all():
+            raise ConfigError(f"expect.values must be a flat list of 1 to {len(vals)} values, "
+                              f"none 0 if relative, got shape {expected.shape}")
+        tol = _field(cfg["expect"], "tol", float, 1e-4)
         err = np.abs(vals[: expected.size] - expected)
         if rel:
             err = err / np.abs(expected)

@@ -45,8 +45,8 @@ def structure_tensor(basis: AlgebraBasis, tol: float = 1e-10) -> np.ndarray:
     d = len(basis)
     prods = np.einsum("jab,kbc->jkac", mats, mats)
     coeffs = np.einsum("lab,jkab->ljk", mats.conj(), prods)
-    recon = np.einsum("ljk,lab->jkab", coeffs, mats)
-    err = float(np.sqrt((np.abs(prods - recon).reshape(d * d, -1) ** 2).sum(axis=1)).max())
+    recon = coeffs.reshape(d, d * d).T @ mats.reshape(d, -1)  # row jk: sum_l P[l,j,k] A_l
+    err = float(np.sqrt((np.abs(prods.reshape(d * d, -1) - recon) ** 2).sum(axis=1)).max())
     if err > max(tol, 1e-10) * 10:
         raise ClosureError(
             f"basis is not multiplicatively closed (residual {err:.2e}); "

@@ -13,11 +13,11 @@ from cstarmech import cli
 from cstarmech.classical import HARMONIC, PhasePoint, bracket_table, hamilton_flow
 from cstarmech.cli import main
 from cstarmech.errors import NumericalError
-from cstarmech.sampling import random_density, random_selfadjoint
+from cstarmech.sampling import density_matrix, random_density, random_selfadjoint
 from cstarmech.serialization import dump_json, matrix_to_json, trajectory_to_csv
 from cstarmech.states import uncertainty_check
 
-from conftest import CLI_CONFIGS, SX, SY, SZ
+from conftest import CLI_CONFIGS, SUITE_SEED, SX, SY, SZ
 
 
 def write_cfg(tmp_path, cfg, name="config.json"):
@@ -488,7 +488,10 @@ class TestRunRecord:
         ("spectrum", dict(SPECTRUM_MISS, expect={"values": "abc"})),
         ("spectrum", dict(SPECTRUM_MISS, expect={"values": []})),
         ("spectrum", dict(SPECTRUM_MISS, expect={"values": [0.5, 1.5, 2.5]})),
+        ("spectrum", dict(SPECTRUM_MISS, expect={"values": [[0.5], [1.5]]})),
+        ("spectrum", dict(SPECTRUM_MISS, expect={"values": [0.0, 1.5], "relative": True})),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_failed_run_leaves_only_the_manifest(self, tmp_path, command, cfg):
         code, out = run(tmp_path, command, cfg)
         assert code == 2
@@ -506,3 +509,28 @@ class TestRunRecord:
             called = {getattr(n.func, "id", getattr(n.func, "attr", None))
                       for n in ast.walk(f) if isinstance(n, ast.Call)}
             assert not called & {"open", "write_text", "dump_json", "mkdir"}, f.name
+
+
+def rank2_gns_cfg(rng):
+    """GNS of a rank-2 state on M_3, which two random generators make."""
+    return {"generators": [matrix_to_json(random_selfadjoint(rng, 3).entries) for _ in range(2)],
+            "state": {"density": matrix_to_json(density_matrix(rng, 3, rank=2))}}
+
+
+class TestJsonBytes:
+    """Every JSON file main writes has the bytes json.dump(sort_keys=True,
+    indent=2) gives its parsed content: float reprs round-trip exactly, so a
+    real representation file covers dump_json's float-nest path."""
+
+    @pytest.mark.parametrize("command, cfg", [
+        *CLI_CONFIGS.items(),
+        ("gns", rank2_gns_cfg(np.random.default_rng(SUITE_SEED))),
+    ])
+    def test_files_match_the_stdlib_writer(self, tmp_path, command, cfg):
+        code, out = run(tmp_path, command, cfg)
+        assert code == 0
+        files = sorted(out.glob("*.json"))
+        assert len(files) >= 3  # manifest, an output and its sidecar
+        for path in files:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path.name

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,6 +13,7 @@ from cstarmech.errors import InvalidInputError
 from cstarmech.gns import AbstractState, gns_construct
 from cstarmech.sampling import random_density, random_element
 from cstarmech.serialization import (
+    _float_nest,
     dump_json,
     gns_result_to_json,
     matrix_from_json,
@@ -37,6 +38,18 @@ class TestMatrixJson:
         m = random_element(rng, 3).entries
         text = json.dumps(matrix_to_json(m))
         np.testing.assert_array_equal(matrix_from_json(json.loads(text)), m)
+
+    def test_pairs_are_the_entries_floats(self):
+        m = np.array([[-0.0 + 1j, np.nan - 0.0j], [complex(5e-324, -np.inf), 0.1 + 0.2]])
+        want = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+        assert json.dumps(matrix_to_json(m)) == json.dumps(want)
+        assert json.dumps(matrix_to_json(m.T)) == json.dumps(
+            [[[float(z.real), float(z.imag)] for z in row] for row in m.T])
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 1)])
+    def test_not_2d_rejected(self, shape):
+        with pytest.raises(InvalidInputError):
+            matrix_to_json(np.ones(shape))
 
     def test_malformed_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -164,3 +177,76 @@ class TestDeterminism:
     def test_csv_stable_text(self, rng):
         cols = {"t": rng.standard_normal(50), "x": rng.standard_normal(50)}
         assert trajectory_to_csv(cols) == trajectory_to_csv(cols)
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | EDGE_FLOATS
+SCALARS = (FLOATS | st.integers() | st.sampled_from([2**70, -(2**64) - 1]) | st.booleans()
+           | st.none() | st.text() | st.sampled_from(['"\\/\n\t\x00\x1f\x7f', "é€\U0001f600"]))
+# one key kind per dict: numbers sort among themselves, str with int does not
+KEYS = st.sampled_from([st.text(), st.integers() | FLOATS | st.booleans(), st.none(),
+                        st.text() | st.integers()])
+# regular nests of floats, up to 3 x 8 x 8 so that some exceed one template
+FLOAT_NESTS = hnp.array_shapes(min_dims=1, max_dims=3, max_side=8).flatmap(
+    lambda shape: hnp.arrays(float, shape, elements=FLOATS)).map(np.ndarray.tolist)
+
+
+def json_objects():
+    """Nested dicts, lists and tuples of json scalars and float nests,
+    ragged and mixed int/float lists among them."""
+    leaves = SCALARS | FLOAT_NESTS | st.lists(st.lists(FLOATS, max_size=3), max_size=3) | st.lists(
+        FLOATS | st.integers(), max_size=4)
+    return st.recursive(leaves, lambda children: (
+        st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+        | KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4))),
+        max_leaves=12)
+
+
+def reference_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+class TestDumpJson:
+    """dump_json writes the bytes of json.dump(sort_keys=True, indent=2) and a
+    newline, and refuses what json refuses with the same exception type."""
+
+    @staticmethod
+    def assert_same_as_stdlib(obj, path):
+        try:
+            want = reference_json(obj)
+        except Exception as exc:  # noqa: BLE001 -- the type is what is compared
+            with pytest.raises(Exception) as got:
+                dump_json(obj, path)
+            assert got.type is type(exc)
+        else:
+            dump_json(obj, path)
+            assert path.read_bytes() == want.encode()
+
+    @settings(max_examples=150)
+    @given(json_objects())
+    def test_matches_stdlib_writer(self, tmp_path_factory, obj):
+        self.assert_same_as_stdlib(obj, tmp_path_factory.getbasetemp() / "obj.json")
+
+    @pytest.mark.parametrize("bad", [np.int64(1), {1, 2}, complex(1, 2), {"a": [1.0, {2}]},
+                                     {(1, 2): 3}, {"a": 1, 2: 3}, [np.bool_(True)]])
+    def test_refusals_match_stdlib(self, tmp_path, bad):
+        with pytest.raises(TypeError):
+            reference_json(bad)
+        self.assert_same_as_stdlib(bad, tmp_path / "bad.json")
+
+    def test_float_nests_take_one_template(self):
+        assert _float_nest([[[1.0, -0.0]], [[np.nan, 5e-324]]]) == (
+            (2, 1, 2), [1.0, -0.0, np.nan, 5e-324])
+        for lst in ([[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0], []], [1, 2.0], [True, 1.0],
+                    [np.float64(1.0)], [(1.0, 2.0)], [[1.0], 2.0], [[]], [0.5] * 257):
+            assert _float_nest(lst) is None, lst
+
+    def test_gns_result_bytes(self, tmp_path, rng):
+        from cstarmech.algebra import generate_algebra
+        from cstarmech.sampling import random_selfadjoint
+
+        basis = generate_algebra([random_selfadjoint(rng, 3), random_selfadjoint(rng, 3)])
+        res = gns_construct(AbstractState.from_density(basis, random_density(rng, 3, rank=2)))
+        data = gns_result_to_json(res)
+        assert data["rep"] == [matrix_to_json(r) for r in res.rep]
+        assert data["cyclic_vector"] == [[float(z.real), float(z.imag)] for z in res.cyclic_vector]
+        self.assert_same_as_stdlib(data, tmp_path / "gns.json")
