@@ -8,9 +8,10 @@ elements; the Gram matrix G_jk = omega(A_j* A_k) then determines the
 Hilbert space as the quotient of the coefficient space by the null space
 of G.
 
-Every Sylvester solve (both commutant paths and the intertwiner space)
-goes through one builder, ``_sylvester_null``, and the one restriction,
-``_block_restriction``, hands it the eigen-blocks of a normal rep element
+Every Sylvester solve (the commutant and the intertwiner space) goes
+through one builder, ``_sylvester_null``. The commutant is one call of it
+on every rep matrix, restricted by ``_restriction`` to the eigen-blocks of
+one generic Hermitian element that the commutant must commute with
 (Murota, Kanno, Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010).
 """
 
@@ -19,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .algebra import AlgebraBasis, AlgebraElement, _operator_norms, _svd
+from .algebra import AlgebraBasis, AlgebraElement, _operator_norms, _orthonormal_rows, _svd
 from .errors import ClosureError, InvalidInputError, InvalidStateError
 from .states import DensityState
 
@@ -192,10 +192,14 @@ def _null_space(stack: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal null vectors of ``stack``, one per row.
 
     These are the right singular vectors with s <= tol * max(s_max, 1),
-    plus the directions a wide stack leaves unconstrained.
+    plus the directions a wide stack leaves unconstrained. A tall stack is
+    first reduced to its R factor, which has the same singular values and
+    right singular vectors.
     """
     # full right singular basis is only needed when the stack is wide
     full = stack.shape[0] < stack.shape[1]
+    if not full:
+        stack = np.linalg.qr(stack, mode="r")
     _, s, vh = _svd(stack, full_matrices=full)
     scale = max(s[0] if s.size else 0.0, 1.0)
     null_mask = np.concatenate([s <= tol * scale, np.ones(vh.shape[0] - s.size, bool)])
@@ -224,68 +228,50 @@ def _sylvester_null(left, right, tol: float, z=None, pairs=None) -> np.ndarray:
     return x if z is None else z @ x @ z.conj().T
 
 
-def _block_restriction(mats: np.ndarray):
-    """Eigenbasis Z of a normal rep element with the most eigenvalue
-    clusters, and the index pairs (a, b) inside one cluster.
+def _restriction(mats: np.ndarray):
+    """Eigenbasis Z of a generic Hermitian x that the whole commutant of
+    ``mats`` commutes with, and the index pairs (a, b) inside one of its
+    eigenvalue clusters.
 
-    Anything commuting with that element is block diagonal in this basis,
-    so the Sylvester search can run on in-block coordinates only. Without
-    such an element, Z is the identity and every pair is returned.
+    x combines, with seeded random weights, each rho_j whose adjoint the
+    commutant must also commute with: a normal rho_j (Fuglede's theorem)
+    or one whose adjoint lies in the span of ``mats``. Every commutant
+    member is then block diagonal in Z. The cluster cut errs toward
+    merging, which only costs time; with nothing flagged, x = 0 and every
+    pair is returned.
     """
-    from .spectral import _cluster  # deferred: spectral does not need gns
-
     k, h = mats.shape[:2]
     adj = mats.conj().transpose(0, 2, 1)
-    norms = _operator_norms(np.concatenate([mats, mats @ adj - adj @ mats]))
-    z, groups = np.eye(h), [np.arange(h)]
-    for m, nrm, dev in zip(mats, np.maximum(norms[:k], 1.0), norms[k:]):
-        if dev > 1e-12 * nrm**2:
-            continue
-        t, zm = scipy.linalg.schur(m, output="complex")
-        _, found = _cluster(np.diag(t), max(1e-8 * nrm, 1e-12))
-        if len(found) > len(groups):
-            z, groups = zm, found
-    label = np.empty(h, dtype=int)
-    for i, g in enumerate(groups):
-        label[g] = i
+    fro = np.maximum(np.linalg.norm(mats, axis=(1, 2)), 1.0)
+    dev = np.linalg.norm(mats @ adj - adj @ mats, axis=(1, 2))
+    rows = _orthonormal_rows(mats.reshape(k, -1), 1e-12)  # orthonormal basis of span S
+    adj_rows = adj.reshape(k, -1)
+    off_span = np.linalg.norm(adj_rows - (adj_rows @ rows.conj().T) @ rows, axis=1)
+    flag = (dev <= 1e-12 * fro**2) | (off_span <= 1e-12 * fro)
+    rng = np.random.default_rng(0)
+    c = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * flag
+    x = np.tensordot(c, mats, axes=1)
+    evals, z = np.linalg.eigh(x + x.conj().T)
+    cut = max(1e-8 * np.abs(evals).max(), 1e-12)
+    label = np.concatenate([[0], np.cumsum(np.diff(evals) > cut)])
     return z, np.nonzero(label[:, None] == label[None, :])
 
 
 def commutant(rep, tol: float = 1e-10) -> list[np.ndarray]:
     """Frobenius-orthonormal basis of {M : M rho_j = rho_j M for all j}.
 
-    Always contains the identity direction. With more than two rep
-    matrices, the Sylvester null space of two seeded random combinations
-    X, Y of them is tried first: it contains the commutant and equals it
-    when X and Y generate the represented algebra, which two generic
-    elements do. It is kept only if every candidate M passes
-    sqrt(sum_j ||rho_j M - M rho_j||_F^2) <= tol * max(1, l), where
-    l = ||S||_F / h, with ||S||_F^2 = sum_j (2h ||rho_j||_F^2 - 2 |tr rho_j|^2),
-    bounds the full stack S's largest singular value from below (S has
-    rank < h^2), so the check is never looser than the full-stack
-    threshold. Otherwise, and with at most two rep matrices, the null space
-    of the Sylvester system of all of them is taken, restricted to the
-    eigen-blocks of a normal rep element with a spread spectrum.
+    Always contains the identity direction. It is the Sylvester null space
+    of all rep matrices, searched only on the eigen-blocks that
+    ``_restriction`` finds, where every commutant member lives.
     """
     mats = [np.asarray(r, dtype=complex) for r in rep]
     h = mats[0].shape[0]
     if any(m.shape != (h, h) for m in mats):
         raise InvalidInputError("representation matrices must share one shape")
     mats = np.stack(mats)
-    if len(mats) > 2:
-        rng = np.random.default_rng(0)
-        coef = rng.standard_normal((2, len(mats))) + 1j * rng.standard_normal((2, len(mats)))
-        xy = np.tensordot(coef, mats, axes=1)
-        cands = _sylvester_null(xy, xy, tol)
-        resid_sq = np.zeros(len(cands))
-        for m in mats:
-            resid_sq += (np.abs(m @ cands - cands @ m) ** 2).sum(axis=(1, 2))
-        fro_sq = (np.abs(mats) ** 2).sum(axis=(1, 2))
-        traces = np.trace(mats, axis1=1, axis2=2)
-        ell = np.sqrt((2 * h * fro_sq - 2 * np.abs(traces) ** 2).sum()) / h
-        if np.all(resid_sq <= (tol * max(1.0, ell)) ** 2):
-            return list(cands)
-    return list(_sylvester_null(mats, mats, tol, *_block_restriction(mats)))
+    if not np.isfinite(mats).all():
+        raise InvalidInputError("matrix entries must be finite")
+    return list(_sylvester_null(mats, mats, tol, *_restriction(mats)))
 
 
 def is_irreducible(rep, tol: float = 1e-10) -> bool:

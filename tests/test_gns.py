@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from cstarmech import gns
 from cstarmech.algebra import AlgebraBasis, AlgebraElement, generate_algebra, operator_norm
-from cstarmech.errors import ClosureError, InvalidStateError
+from cstarmech.errors import ClosureError, InvalidInputError, InvalidStateError
 from cstarmech.gns import (
     AbstractState,
     commutant,
@@ -14,7 +16,7 @@ from cstarmech.gns import (
     is_irreducible,
     structure_tensor,
 )
-from cstarmech.sampling import random_density, random_selfadjoint
+from cstarmech.sampling import random_density, random_selfadjoint, random_unitary
 from cstarmech.states import DensityState, expectation, from_vector, is_pure
 
 from conftest import SX, SY, SZ, random_generators
@@ -35,6 +37,12 @@ def full_matrix_basis(n, rng=None):
     basis = generate_algebra(gens)
     assert len(basis) == n * n
     return basis
+
+
+@functools.cache
+def full_basis(n):
+    """A basis of all of M_n from fixed generators, built once per n."""
+    return full_matrix_basis(n)
 
 
 def gns_from_density(basis, omega):
@@ -180,6 +188,13 @@ class TestCommutant:
             for r in rep:
                 np.testing.assert_allclose(m @ r, r @ m, atol=1e-9)
 
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_refuses_non_finite_entries(self, count):
+        rep = [np.eye(2, dtype=complex) for _ in range(count)]
+        rep[-1] = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(InvalidInputError, match="finite"):
+            commutant(rep)
+
     def test_clock_shift_irreducible(self):
         from cstarmech.weyl import clock_shift
 
@@ -213,21 +228,46 @@ def builder_calls(monkeypatch):
     return calls
 
 
+def commutant_input(rng, rep, n, count, form):
+    """The rep itself, or a set the restriction must not split: a proper
+    subset of it (not *-closed), random non-normal matrices, strictly upper
+    triangular ones, or one normal matrix with repeated eigenvalues beside
+    non-normal ones, generic or block diagonal in its eigenbasis."""
+    if form == "rep":
+        return rep
+    if form == "subset":
+        size = int(rng.integers(1, len(rep))) if len(rep) > 1 else 1
+        return [rep[i] for i in rng.choice(len(rep), size=size, replace=False)]
+    mats = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    if form == "nonnormal":
+        return list(mats)
+    if form == "nilpotent":
+        return list(np.triu(mats, 1))
+    u = random_unitary(rng, n)
+    d = rng.integers(0, 3, n).astype(float)
+    if form == "normal_and_blocks":
+        mats = u @ ((d[:, None] == d[None, :]) * mats) @ u.conj().T
+    return [u @ np.diag(d) @ u.conj().T, *mats]
+
+
 class TestCommutantPaths:
-    @settings(max_examples=30)
+    @settings(max_examples=60)
     @given(
         n=st.integers(2, 5),
         rank_frac=st.floats(0.0, 1.0),
         count=st.integers(1, 3),
         kind=st.sampled_from(["full", "commuting", "blocks"]),
+        form=st.sampled_from(
+            ["rep", "subset", "nonnormal", "nilpotent", "normal_and_generic", "normal_and_blocks"]
+        ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_full_stack(self, n, rank_frac, count, kind, seed):
+    def test_matches_full_stack(self, n, rank_frac, count, kind, form, seed):
         rng = np.random.default_rng(seed)
         rank = 1 + int(rank_frac * (n - 1) + 0.5)
         basis = generate_algebra(random_generators(rng, n, count, kind))
         res = gns_from_density(basis, random_density(rng, n, rank=rank))
-        rep = [np.asarray(r) for r in res.rep]
+        rep = commutant_input(rng, [np.asarray(r) for r in res.rep], n, count, form)
         got = commutant(rep)
         assert len(got) == full_stack_dim(rep)
         for m in got:
@@ -235,27 +275,30 @@ class TestCommutantPaths:
                 scale = max(1.0, np.linalg.norm(r, 2))
                 np.testing.assert_allclose(m @ r, r @ m, atol=1e-9 * scale)
 
-    def test_fallback_when_two_elements_do_not_generate(self, builder_calls):
-        # span{E_12, E_13, E_14}: any two elements of it miss one direction,
-        # so the two-element candidates fail the check on the third and the
-        # builder runs a second time, on every rep matrix
+    def test_unrestricted_when_nothing_is_flagged(self, builder_calls):
+        # span{E_12, E_13, E_14}: no member is normal and no adjoint lies in
+        # the span, so the one builder call runs on all 16 index pairs
         rep = []
         for j in (1, 2, 3):
             e = np.zeros((4, 4), dtype=complex)
             e[0, j] = 1.0
             rep.append(e)
         got = commutant(rep)
-        assert len(builder_calls) == 2 and len(builder_calls[1][0]) == 3
+        (args,) = builder_calls
+        assert len(args[0]) == 3 and len(args[4][0]) == 16
         assert len(got) == full_stack_dim(rep) == 4
         for m in got:
             for r in rep:
                 np.testing.assert_allclose(m @ r, r @ m, atol=1e-12)
 
-    def test_two_element_path_on_gns_rep(self, rng, builder_calls):
+    def test_gns_rep_restricted_to_blocks(self, rng, builder_calls):
+        # a rank-2 state on M_3: rep = 1_2 (x) M_3 in some basis, so a generic
+        # Hermitian rep element has three double eigenvalues: 12 of 36 pairs
         basis = full_matrix_basis(3, rng)
         res = gns_from_density(basis, random_density(rng, 3, rank=2))
         found = commutant(res.rep)
-        assert len(builder_calls) == 1 and len(builder_calls[0][0]) == 2
+        (args,) = builder_calls
+        assert len(args[0]) == 9 and len(args[4][0]) == 12
         assert len(found) == full_stack_dim(res.rep) == 4
         flat = np.stack([m.ravel() for m in found])
         np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(4), atol=1e-12)
@@ -340,6 +383,29 @@ class TestAlgebraPurity:
         tracial = DensityState.maximally_mixed(3)
         assert not AbstractState.from_density(basis, tracial).is_pure()
 
+    @settings(max_examples=100)
+    @given(
+        n=st.integers(2, 5),
+        form=st.sampled_from(["pure", "rank", "mixture"]),
+        rank_frac=st.floats(0.0, 1.0),
+        # log10 of the mixture weight, outside the tolerance band [1e-11, 1e-9]
+        log_eps=st.one_of(st.floats(-16.0, -11.5), st.floats(-8.5, np.log10(0.5))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_density_purity(self, n, form, rank_frac, log_eps, seed):
+        rng = np.random.default_rng(seed)
+        if form == "pure":
+            omega = from_vector(random_unitary(rng, n)[:, 0])
+        elif form == "rank":
+            omega = random_density(rng, n, rank=1 + int(rank_frac * (n - 1) + 0.5))
+        else:  # (1 - eps)|psi><psi| + eps|phi><phi|, phi orthogonal to psi
+            psi, phi = random_unitary(rng, n)[:, :2].T
+            eps = 10.0**log_eps
+            omega = DensityState((1 - eps) * np.outer(psi, psi.conj())
+                                 + eps * np.outer(phi, phi.conj()))
+        state = AbstractState.from_density(full_basis(n), omega)
+        assert state.is_pure() == is_pure(omega)
+
     def test_matches_irreducibility_on_a_non_factor(self, rng):
         # M_2 + M_1: a vector state is pure exactly when it lives in one block
         gens = []
@@ -389,8 +455,6 @@ class TestIntertwiner:
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-10)
 
     def test_conjugated_pair(self, rng):
-        from cstarmech.sampling import random_unitary
-
         w = random_unitary(rng, 3)
         rep1 = [random_selfadjoint(rng, 3).entries for _ in range(2)] + [np.eye(3)]
         rep2 = [w @ r @ w.conj().T for r in rep1]
