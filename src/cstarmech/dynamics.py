@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraElement, _operator_norms
+from .algebra import AlgebraElement, _as_matrix, _operator_norms
 from .errors import (
     DimensionMismatchError,
     EvaluationDomainError,
@@ -205,12 +205,16 @@ class _Propagator:
         return u @ a @ u.conj().T
 
 
-def _hamiltonian_propagator(h: AlgebraElement) -> _Propagator:
-    hm = h.entries
-    herm_err, norm = _operator_norms(np.stack([hm - hm.conj().T, hm]))
-    if herm_err > 1e-10 * max(norm, 1.0):
-        raise InvalidInputError("Hamiltonian must be self-adjoint")
-    return _Propagator((hm + hm.conj().T) / 2)
+def _hermitian(h) -> np.ndarray:
+    """(h + h*)/2 of a finite square matrix h that is self-adjoint within
+    1e-10 of its norm; anything else is an InvalidInputError."""
+    hm = _as_matrix(h)
+    skew = hm - hm.conj().T
+    if skew.any():  # exactly Hermitian input skips the two SVDs, which outcost its eigh
+        herm_err, norm = _operator_norms(np.stack([skew, hm]))
+        if herm_err > 1e-10 * max(norm, 1.0):
+            raise InvalidInputError("Hamiltonian must be self-adjoint")
+    return (hm + hm.conj().T) / 2
 
 
 def evolve_schrodinger(psi0: WaveFunction, cfg: EvolutionConfig) -> WaveFunction:
@@ -260,7 +264,7 @@ def evolve_heisenberg(a0: AlgebraElement, h: AlgebraElement, t: float) -> Algebr
     """A(t) = exp(itH) A0 exp(-itH) via eigendecomposition of H."""
     if a0.dim != h.dim:
         raise DimensionMismatchError("observable and Hamiltonian dimensions differ")
-    return AlgebraElement(_hamiltonian_propagator(h).observable(a0.entries, t))
+    return AlgebraElement(_Propagator(_hermitian(h.entries)).observable(a0.entries, t))
 
 
 @dataclass(frozen=True)
@@ -281,7 +285,7 @@ def picture_equivalence_check(
     if nrm == 0:
         raise InvalidInputError("zero state vector")
     v = v / nrm
-    prop = _hamiltonian_propagator(h)
+    prop = _Propagator(_hermitian(h.entries))
     psi_t = prop.state(v, t)
     s_val = complex(np.vdot(psi_t, a0.entries @ psi_t))
     h_val = complex(np.vdot(v, prop.observable(a0.entries, t) @ v))
@@ -289,12 +293,13 @@ def picture_equivalence_check(
 
 
 def eigen_spectrum(h: np.ndarray, k: int) -> np.ndarray:
-    """Lowest k eigenvalues of a self-adjoint matrix, ascending."""
-    m = np.asarray(h, dtype=complex)
+    """Lowest k eigenvalues of a self-adjoint matrix, ascending; any other
+    input is an InvalidInputError."""
+    m = _hermitian(h)
     if k < 1 or k > m.shape[0]:
         raise InvalidInputError(f"k must be in 1..{m.shape[0]}")
     try:
-        evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        evals = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
     return evals[:k]
@@ -337,15 +342,9 @@ def radial_hydrogen_spectrum(
     diag = 1.0 / dr**2 - 1.0 / r
     off = np.full(grid.M - 1, -0.5 / dr**2)
     try:
-        if return_vectors:
-            vals, vecs = scipy.linalg.eigh_tridiagonal(
-                diag, off, select="i", select_range=(0, k - 1)
-            )
-            return vals, vecs
-        vals = scipy.linalg.eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, k - 1), eigvals_only=True
+        return scipy.linalg.eigh_tridiagonal(
+            diag, off, eigvals_only=not return_vectors, select="i", select_range=(0, k - 1)
         )
-        return vals
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError(f"radial eigensolver failed: {exc}") from exc
 

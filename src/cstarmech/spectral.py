@@ -65,25 +65,19 @@ def _normal_eigensystem(a: AlgebraElement, tol: float):
 
 
 def _cluster(values: np.ndarray, ctol: float):
-    """Greedy single-linkage clustering of eigenvalues; returns
-    (cluster means, list of index arrays)."""
+    """Single-linkage clusters of eigenvalues (linked at distance <= ctol),
+    ordered by first member in lexicographic order; returns (cluster means,
+    list of index arrays)."""
     order = np.lexsort((values.imag, values.real))
-    groups: list[list[int]] = []
-    means: list[complex] = []
-    for idx in order:
-        lam = values[idx]
-        placed = False
-        for g, mu in zip(groups, means):
-            if abs(lam - mu) <= ctol:
-                g.append(idx)
-                placed = True
-                break
-        if not placed:
-            groups.append([idx])
-            means.append(lam)
-        # refresh means so degenerate clusters stay centered
-        means = [values[g].mean() for g in groups]
-    return [complex(mu) for mu in means], [np.array(g) for g in groups]
+    v = values[order]
+    # transitive closure by squaring; the 0/1 path counts are exact floats
+    link = (np.abs(v[:, None] - v[None, :]) <= ctol).astype(float)
+    while ((closed := (link @ link > 0).astype(float)) != link).any():
+        link = closed
+    first = link.argmax(axis=1)  # each member's cluster, by its first member
+    # not np.unique, whose sort pages in numpy's SIMD quicksort (~0.3 MB resident)
+    groups = [order[first == f] for f in np.flatnonzero(first == np.arange(len(v)))]
+    return [complex(values[g].mean()) for g in groups], groups
 
 
 def spectrum(a: AlgebraElement, tol: float = 1e-8) -> list[complex]:

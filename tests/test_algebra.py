@@ -374,7 +374,8 @@ class TestSvdFallback:
         got = commutant(rep)
         assert gesdd_fails == ["svd", "svd"]
         monkeypatch.setattr(np.linalg, "svd", gesvd)
-        assert len(_restriction(np.stack(rep))[1][0]) == 8
+        mats = np.stack(rep)
+        assert len(_restriction(mats, mats, np.ones(2, bool))[1][0]) == 8
         ref = commutant(rep)
         assert len(got) == 1
         np.testing.assert_array_equal(got, ref)

@@ -254,6 +254,15 @@ class TestBoundStates:
         # bound levels sit inside the well depth
         assert low[0] > 0 and low[-1] < 50.0
 
+    @pytest.mark.parametrize(
+        "h",
+        [np.zeros((3, 4)), [[0.0, 1.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]]],
+        ids=["non-square", "non-self-adjoint", "nan"],
+    )
+    def test_eigen_spectrum_refuses_invalid_input(self, h):
+        with pytest.raises(InvalidInputError):
+            eigen_spectrum(np.array(h), 1)
+
     def test_quartic_levels_spread_faster_than_harmonic(self):
         g = Grid1D(N=512, L=16.0)
         hq = eigen_spectrum(build_hamiltonian(g, make_potential("quartic")), 6)

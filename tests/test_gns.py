@@ -18,6 +18,7 @@ from cstarmech.gns import (
 )
 from cstarmech.sampling import random_density, random_selfadjoint, random_unitary
 from cstarmech.states import DensityState, expectation, from_vector, is_pure
+from cstarmech.weyl import clock_shift
 
 from conftest import SX, SY, SZ, random_generators
 
@@ -196,8 +197,6 @@ class TestCommutant:
             commutant(rep)
 
     def test_clock_shift_irreducible(self):
-        from cstarmech.weyl import clock_shift
-
         for n in (2, 3, 8):
             pair = clock_shift(n)
             assert is_irreducible([pair.U, pair.V])
@@ -447,6 +446,14 @@ class TestPurityIrreducibility:
             assert is_irreducible(res.rep) == is_pure(omega)
 
 
+def assert_unitary_intertwiner(u, rep1, rep2):
+    assert u is not None
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(len(u)), atol=1e-10)
+    scale = max(1.0, max(np.linalg.norm(r, 2) for r in [*rep1, *rep2]))
+    for a, b in zip(rep1, rep2):
+        np.testing.assert_allclose(u @ a, b @ u, atol=1e-8 * scale)
+
+
 class TestIntertwiner:
     def test_identity_rep_pair(self):
         rep = [SX, SY]
@@ -463,18 +470,56 @@ class TestIntertwiner:
         for a, b in zip(rep1, rep2):
             np.testing.assert_allclose(u @ a, b @ u, atol=1e-8)
 
+    def test_nilpotent_against_itself(self):
+        # the identity intertwines; the non-unitary members of the plain
+        # intertwiner space (polynomials in N3) must not hide it
+        n3 = np.triu(np.arange(1, 10).reshape(3, 3), 1).astype(complex)
+        assert_unitary_intertwiner(find_intertwiner([n3], [n3]), [n3], [n3])
+
+    def test_conjugated_non_normal(self, rng):
+        m = rng.standard_normal((3, 3))
+        w = random_unitary(rng, 3)
+        rep2 = [w @ m @ w.conj().T]
+        assert_unitary_intertwiner(find_intertwiner([m], rep2), [m], rep2)
+
+    def test_restricted_to_matched_blocks(self, rng, builder_calls):
+        # a generic Hermitian combination of clock and shift has 16 simple
+        # eigenvalues, shared with its conjugate: 16 of the 256 index pairs
+        pair = clock_shift(16)
+        w = random_unitary(rng, 16)
+        rep1 = [pair.U, pair.V]
+        rep2 = [w @ r @ w.conj().T for r in rep1]
+        u = find_intertwiner(rep1, rep2)
+        (args,) = builder_calls
+        assert len(args[0]) == 2 and len(args[4][0]) == 16
+        assert_unitary_intertwiner(u, rep1, rep2)
+
+    @settings(max_examples=25)
+    @given(**gns_cases)
+    def test_conjugated_gns_rep(self, **case):
+        # cyclicity of psi makes w the only intertwiner that maps psi to w psi
+        rng, _, omega = random_case(**case)
+        res = gns_construct(omega)
+        w = random_unitary(rng, res.hilbert_dim)
+        rep2 = [w @ r @ w.conj().T for r in res.rep]
+        assert_unitary_intertwiner(find_intertwiner(res.rep, rep2), res.rep, rep2)
+        psi = res.cyclic_vector
+        u = find_intertwiner(res.rep, rep2, map_vector=(psi, w @ psi))
+        np.testing.assert_allclose(u, w, rtol=0, atol=1e-7)
+
     def test_inequivalent_reps(self):
+        # diag(3, 4) shares no eigenvalue with diag(1, 2), so the
+        # restriction leaves no index pair at all
         rep1 = [np.diag([1.0, 2.0]).astype(complex)]
-        rep2 = [np.diag([1.0, 3.0]).astype(complex)]
-        assert find_intertwiner(rep1, rep2) is None
         e0 = np.array([1.0, 0.0])
-        assert find_intertwiner(rep1, rep2, map_vector=(e0, e0)) is None
+        for diag in ([1.0, 3.0], [3.0, 4.0]):
+            rep2 = [np.diag(diag).astype(complex)]
+            assert find_intertwiner(rep1, rep2) is None
+            assert find_intertwiner(rep1, rep2, map_vector=(e0, e0)) is None
 
     def test_map_vector_picks_the_member(self, rng):
         # diag(1, 2, 3) is reducible: its intertwiners w D form a 3-dimensional
         # space (D diagonal), and the cyclic vector fixes D
-        from cstarmech.sampling import random_unitary
-
         w = random_unitary(rng, 3)
         rep1 = [np.diag([1.0, 2.0, 3.0]).astype(complex)]
         rep2 = [w @ rep1[0] @ w.conj().T]

@@ -22,6 +22,12 @@ class TestSpectrum:
         assert len(vals) == 2
         np.testing.assert_allclose(sorted(v.real for v in vals), [0.0, 1.0])
 
+    def test_single_linkage_chains_close_eigenvalues(self):
+        # 0 and 1.8e-8 lie further apart than tol * norm = 1e-8, but both
+        # link to 0.9e-8, so the three form one atom
+        vals = spectrum(AlgebraElement(np.diag([0.0, 0.9e-8, 1.8e-8, 1.0])))
+        np.testing.assert_allclose(vals, [0.9e-8, 1.0], rtol=0, atol=1e-15)
+
     def test_clock_matrix_roots_of_unity(self):
         u = AlgebraElement(clock_shift(3).U)
         got = sorted(spectrum(u), key=lambda z: np.angle(z))
