@@ -120,6 +120,43 @@ def _operator_norms(stack: np.ndarray) -> np.ndarray:
             raise NumericalError(f"singular value computation failed: {exc}") from exc
 
 
+# Relative slack of the certificate in _exceeds: covers the rounding of a
+# computed Frobenius norm of n^2 complex entries, about n^2 u (Higham, ch. 3),
+# for every n up to 10^4, and the SVD's own rounding, about n u.
+_CERT_SLACK = 1e-6
+# Absolute slack per dimension: squares below the smallest subnormal round
+# to it or to zero, which moves a Frobenius norm by at most n times this.
+_UNDERFLOW = 2.0 * np.sqrt(np.finfo(float).smallest_subnormal)
+
+
+def _exceeds(d: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
+    """||d|| > tol max(||m||, 1) in the C* norm, for each row of (S, n, n)
+    stacks: the verdict of every "within tol of its norm" check.
+
+    Frobenius norms decide it without an SVD, by ||A||_F / sqrt(n) <= ||A||
+    <= ||A||_F (Golub & Van Loan, 4th ed., 2.3): a row passes for certain
+    when ||d||_F <= (1 - slack) tol max(||m||_F / sqrt(n), 1) and fails for
+    certain when ||d||_F / sqrt(n) > (1 + slack) tol max(||m||_F, 1).
+    Only the rows between the two, and the rows whose Frobenius norm
+    overflows, go to ``_operator_norms``, so the verdict is the SVD's on
+    every row.
+    """
+    n = d.shape[-1]
+    slack, root_n = n * _UNDERFLOW, np.sqrt(n)
+    # an overflowing (or empty) row gives inf or NaN here and goes to the band
+    with np.errstate(all="ignore"):
+        fro_d = np.linalg.norm(d, axis=(-2, -1))
+        fro_m = np.linalg.norm(m, axis=(-2, -1))
+        passes = fro_d + slack <= (1 - _CERT_SLACK) * tol * np.maximum(fro_m / root_n, 1.0)
+        fails = (fro_d - slack) / root_n > (1 + _CERT_SLACK) * tol * np.maximum(fro_m, 1.0)
+    finite = np.isfinite(fro_d) & np.isfinite(fro_m)
+    out = fails & finite
+    band = ~(finite & (passes | fails))
+    if band.any():
+        out[band] = _operator_norms(d[band]) > tol * np.maximum(_operator_norms(m[band]), 1.0)
+    return out
+
+
 def operator_norm(a) -> float:
     """Largest singular value of the matrix (the C* norm)."""
     m = a.entries if isinstance(a, AlgebraElement) else _as_matrix(a)
@@ -147,6 +184,8 @@ def classify(a: AlgebraElement, tol: float = DEFAULT_TOL) -> ElementFlags:
         raise InvalidInputError("tol must be positive")
     m = a.entries
     mh = m.conj().T
+    # not _exceeds: the positivity bound needs ||m|| itself, and the normal
+    # and unitary bounds its square, so the SVD of m is paid in any case
     norm, sa_err, nrm_err, uni_err = _operator_norms(
         np.stack([m, m - mh, m @ mh - mh @ m, m @ mh - np.eye(a.dim)]))
     scale = max(norm, 1.0)

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraElement, _as_matrix, _operator_norms
+from .algebra import AlgebraElement, _as_matrix, _exceeds
 from .errors import (
     DimensionMismatchError,
     EvaluationDomainError,
@@ -207,13 +207,11 @@ class _Propagator:
 
 def _hermitian(h) -> np.ndarray:
     """(h + h*)/2 of a finite square matrix h that is self-adjoint within
-    1e-10 of its norm; anything else is an InvalidInputError."""
+    1e-10 of its norm (decided by Frobenius bounds, by an SVD only near the
+    bound); anything else is an InvalidInputError."""
     hm = _as_matrix(h)
-    skew = hm - hm.conj().T
-    if skew.any():  # exactly Hermitian input skips the two SVDs, which outcost its eigh
-        herm_err, norm = _operator_norms(np.stack([skew, hm]))
-        if herm_err > 1e-10 * max(norm, 1.0):
-            raise InvalidInputError("Hamiltonian must be self-adjoint")
+    if _exceeds((hm - hm.conj().T)[None], hm[None], 1e-10)[0]:
+        raise InvalidInputError("Hamiltonian must be self-adjoint")
     return (hm + hm.conj().T) / 2
 
 

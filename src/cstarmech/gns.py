@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraBasis, AlgebraElement, _operator_norms, _orthonormal_rows, _svd
+from .algebra import (
+    AlgebraBasis,
+    AlgebraElement,
+    _exceeds,
+    _operator_norms,
+    _orthonormal_rows,
+    _svd,
+    operator_norm,
+)
 from .errors import ClosureError, InvalidInputError, InvalidStateError
 from .states import DensityState
 
@@ -140,14 +148,15 @@ def gns_construct(omega: AbstractState, rank_tol: float = 1e-10) -> GnsResult:
 
     The Hilbert space is the range of the Gram matrix above the rank
     threshold; left multiplication descends to the quotient and the class
-    of the identity is the cyclic vector.
+    of the identity is the cyclic vector. The Gram matrix must be Hermitian
+    within 1e-10 max(||G||, 1), which Frobenius bounds decide.
     """
     basis = omega.basis
     struct = structure_tensor(basis, basis.tol)
     g = omega.gram(struct)
-    herm_err, g_norm = _operator_norms(np.stack([g - g.conj().T, g]))
-    if herm_err > 1e-10 * max(g_norm, 1.0):
-        raise InvalidStateError(f"Gram matrix not Hermitian (error {herm_err:.2e})")
+    skew = g - g.conj().T
+    if _exceeds(skew[None], g[None], 1e-10)[0]:
+        raise InvalidStateError(f"Gram matrix not Hermitian (error {operator_norm(skew):.2e})")
     g = (g + g.conj().T) / 2
 
     evals, evecs = np.linalg.eigh(g)
@@ -251,6 +260,20 @@ def _restriction(left, right, flag):
     return z, np.nonzero(lab_r[:, None] == lab_l[None, :])
 
 
+def _rep_stack(rep) -> np.ndarray:
+    """Representation matrices as one (k, h, h) complex stack; matrices of
+    different or non-square shapes, or with a non-finite entry, are an
+    InvalidInputError."""
+    mats = [np.asarray(r, dtype=complex) for r in rep]
+    h = mats[0].shape[0]
+    if any(m.shape != (h, h) for m in mats):
+        raise InvalidInputError("representation matrices must share one shape")
+    mats = np.stack(mats)
+    if not np.isfinite(mats).all():
+        raise InvalidInputError("matrix entries must be finite")
+    return mats
+
+
 def commutant(rep, tol: float = 1e-10) -> list[np.ndarray]:
     """Frobenius-orthonormal basis of {M : M rho_j = rho_j M for all j}.
 
@@ -259,13 +282,7 @@ def commutant(rep, tol: float = 1e-10) -> list[np.ndarray]:
     member also commutes with: the normal ones (Fuglede's theorem) and
     those whose adjoint lies in the span of the rep.
     """
-    mats = [np.asarray(r, dtype=complex) for r in rep]
-    h = mats[0].shape[0]
-    if any(m.shape != (h, h) for m in mats):
-        raise InvalidInputError("representation matrices must share one shape")
-    mats = np.stack(mats)
-    if not np.isfinite(mats).all():
-        raise InvalidInputError("matrix entries must be finite")
+    mats = _rep_stack(rep)
     adj = mats.conj().transpose(0, 2, 1)
     fro = np.maximum(np.linalg.norm(mats, axis=(1, 2)), 1.0)
     dev = np.linalg.norm(mats @ adj - adj @ mats, axis=(1, 2))
@@ -293,8 +310,7 @@ def find_intertwiner(rep1, rep2, tol: float = 1e-8, map_vector=None):
     sense (the uniqueness clause for cyclic vectors). A candidate's unitary
     polar factor is returned once it intertwines and maps v_from to v_to.
     """
-    m1 = np.stack([np.asarray(r, dtype=complex) for r in rep1])
-    m2 = np.stack([np.asarray(r, dtype=complex) for r in rep2])
+    m1, m2 = _rep_stack(rep1), _rep_stack(rep2)
     if len(m1) != len(m2):
         raise InvalidInputError("representations must share the basis indexing")
     if m1.shape[1] != m2.shape[1]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraElement, _operator_norms, classify, operator_norm
+from .algebra import AlgebraElement, _exceeds, classify, operator_norm
 from .errors import EvaluationDomainError, InvalidInputError, NumericalError
 from .states import DensityState, _check_dims
 
@@ -45,7 +45,9 @@ class SpectralMeasure:
 
 
 def _normal_eigensystem(a: AlgebraElement, tol: float):
-    """Eigenvalues, an orthonormal eigenbasis and the norm of a normal matrix."""
+    """Eigenvalues, an orthonormal eigenbasis and the norm of a normal matrix.
+    A Schur form is accepted when its off-diagonal part is within
+    max(tol, 1e-9) max(||a||, 1), which Frobenius bounds decide."""
     flags = classify(a, tol)
     if not flags.normal:
         raise InvalidInputError("element is not normal within tolerance")
@@ -58,10 +60,9 @@ def _normal_eigensystem(a: AlgebraElement, tol: float):
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     # for a normal matrix the Schur form is diagonal up to round-off
-    off_norm, norm = _operator_norms(np.stack([t - np.diag(np.diag(t)), m]))
-    if off_norm > max(tol, 1e-9) * max(norm, 1.0):
+    if _exceeds((t - np.diag(np.diag(t)))[None], m[None], max(tol, 1e-9))[0]:
         raise InvalidInputError("element is not normal within tolerance")
-    return np.diag(t), z, float(norm)
+    return np.diag(t), z, operator_norm(a)
 
 
 def _cluster(values: np.ndarray, ctol: float):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, _operator_norms, operator_norm
+from .algebra import AlgebraElement, _exceeds
 from .errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -69,13 +69,13 @@ def _traces(m: np.ndarray) -> np.ndarray:
 
 
 def _require_selfadjoint(m: np.ndarray, mh: np.ndarray, tol: float, error, what: str):
-    """Flag each row whose m - m* exceeds tol max(||m||, 1) or overflows."""
+    """Flag each row whose m - m* exceeds tol max(||m||, 1) or overflows;
+    Frobenius bounds decide the norms, an SVD only the rows they leave open."""
     with np.errstate(over="ignore"):
         d = m - mh
     overflow = ~np.isfinite(d).all(axis=(1, 2))
     d[overflow] = 0
-    scale = np.maximum(_operator_norms(m), 1.0)
-    _first_bad(overflow | (_operator_norms(d) > tol * scale), error, what)
+    _first_bad(overflow | _exceeds(d, m, tol), error, what)
 
 
 def check_densities(b) -> np.ndarray:
@@ -83,7 +83,8 @@ def check_densities(b) -> np.ndarray:
 
     Each matrix must be finite, self-adjoint within 1e-12 max(||b||, 1), of
     trace one within 1e-12 and without an eigenvalue below -1e-12. The
-    norms and eigenvalues of the whole stack come from batched calls; an
+    self-adjointness test takes one batched SVD pair over only the rows its
+    Frobenius bounds leave open, the eigenvalues one batched call; an
     InvalidStateError names the first failing row.
     """
     m = _as_stack(b, InvalidStateError, "density")
@@ -103,8 +104,8 @@ def check_observables(a) -> np.ndarray:
     """Check a stack of observables and return it as a complex array.
 
     Each matrix must be finite (else InvalidInputError) and self-adjoint
-    within 1e-10 max(||A||, 1) (else NonObservableError); the error names
-    the first failing row.
+    within 1e-10 max(||A||, 1) (else NonObservableError), decided as in
+    check_densities; the error names the first failing row.
     """
     m = _as_stack(a, InvalidInputError, "observable")
     _require_selfadjoint(m, _adjoints(m), _OBSERVABLE_TOL, NonObservableError,
@@ -161,11 +162,16 @@ def from_vector(psi) -> DensityState:
 
 
 def is_pure(omega: DensityState, tol: float = 1e-10) -> bool:
-    """True iff b is (numerically) a rank-one projection: tr(b^2) > 1 - tol."""
+    """True iff b is (numerically) a rank-one projection: ||b^2 - b|| < tol
+    and tr(b^2) > 1 - tol. Frobenius bounds decide the norm test; an SVD
+    runs only when ||b^2 - b|| lies near tol."""
     b = omega.b
-    if operator_norm(b @ b - b) >= tol:
+    b2 = b @ b
+    d = (b2 - b)[None]
+    # ||d|| >= tol, as ||d|| > the float just below tol (scale max(||0||, 1) = 1)
+    if _exceeds(d, np.zeros_like(d), np.nextafter(tol, -np.inf))[0]:
         return False
-    return float(np.trace(b @ b).real) > 1.0 - tol
+    return float(np.trace(b2).real) > 1.0 - tol
 
 
 def mix(states, weights) -> DensityState:

@@ -536,6 +536,14 @@ class TestIntertwiner:
     def test_dimension_mismatch(self):
         assert find_intertwiner([np.eye(2)], [np.eye(3)]) is None
 
+    def test_refuses_non_finite_entries(self):
+        with pytest.raises(InvalidInputError, match="finite"):
+            find_intertwiner([[[np.nan, 0.0], [0.0, 1.0]]], [np.eye(2)])
+
+    def test_refuses_non_square_matrices(self):
+        with pytest.raises(InvalidInputError, match="shape"):
+            find_intertwiner([np.ones((2, 3))], [np.ones((2, 3))])
+
     def test_gns_uniqueness_under_basis_reordering(self, rng):
         """The same state through two differently ordered generating sets
         produces unitarily equivalent GNS triples matching cyclic vectors."""

@@ -353,20 +353,34 @@ class TestStacks:
             check_densities(b[0])
 
     def test_one_batched_norm_pair_per_stack(self, monkeypatch):
+        # Frobenius bounds decide every row of a random stack, so no ord-2
+        # (SVD) norm runs; a row planted in the band between the certain
+        # pass and the certain fail takes one batched pair over that row only
         b, a1, _ = draw_stacks(5, 16, 4)
-        calls = {"norm": 0, "eigvalsh": 0}
-        for name in calls:
-            real = getattr(np.linalg, name)
+        svd_rows, eigvalsh_calls = [], []
+        real_norm, real_eigvalsh = np.linalg.norm, np.linalg.eigvalsh
 
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
+        def norm(x, ord=None, axis=None, keepdims=False):
+            if ord == 2:
+                svd_rows.append(len(x))
+            return real_norm(x, ord, axis, keepdims)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+        def eigvalsh(*args, **kwargs):
+            eigvalsh_calls.append(1)
+            return real_eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", norm)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         check_densities(b)
-        assert calls == {"norm": 2, "eigvalsh": 1}
+        assert (svd_rows, len(eigvalsh_calls)) == ([], 1)
         check_observables(a1)
-        assert calls == {"norm": 4, "eigvalsh": 1}
+        assert (svd_rows, len(eigvalsh_calls)) == ([], 1)
+        # ||b - b*|| = 8e-13 passes 1e-12, but ||b - b*||_F = 1.13e-12 is no proof
+        skew = np.zeros((4, 4))
+        skew[0, 1], skew[1, 0] = 4e-13, -4e-13
+        b[3] += skew
+        check_densities(b)
+        assert (svd_rows, len(eigvalsh_calls)) == ([1, 1], 2)
 
     def test_scalar_errors_name_no_row(self):
         with pytest.raises(InvalidStateError, match=r"^trace must be 1"):
