@@ -243,8 +243,9 @@ def generate_algebra(generators, tol: float = DEFAULT_TOL) -> AlgebraBasis:
     gens = list(generators)
     if not gens:
         raise InvalidInputError("need at least one generator")
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+    # the rank cut keeps the rows above tol s_max, none of them for tol >= 1
+    if not 0 < tol < 1:
+        raise InvalidInputError(f"tol must lie in (0, 1), got {tol}")
     n = gens[0].dim
     for g in gens:
         if g.dim != n:

@@ -270,6 +270,8 @@ HARMONIC = ClassicalObservable(
 def bracket_table(points: int, rng: np.random.Generator) -> list:
     """Rows (label, point, lhs, rhs, abs_err) of BRACKET_RELATIONS at
     ``points`` phase points drawn uniformly from [-2, 2]^6, q before p."""
+    if points < 0:
+        raise InvalidInputError(f"points must be nonnegative, got {points}")
     rows = []
     for i in range(points):
         z = PhasePoint(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3))

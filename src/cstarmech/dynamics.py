@@ -100,10 +100,10 @@ class EvolutionConfig:
     method: str = "split-operator"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise InvalidInputError("dt must be positive")
-        if self.t_final < 0:
-            raise InvalidInputError("t_final must be nonnegative")
+        if not 0 < self.dt < np.inf:
+            raise InvalidInputError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.t_final < np.inf:
+            raise InvalidInputError(f"t_final must be finite and >= 0, got {self.t_final}")
         if self.method not in ("split-operator", "exact-diagonalization"):
             raise InvalidInputError(f"unknown method {self.method!r}")
         # steps rounds t_final / dt, so the run always ends within half a

@@ -330,10 +330,9 @@ def find_intertwiner(rep1, rep2, tol: float = 1e-8, map_vector=None):
             candidates.append(np.tensordot(coef, null, axes=1))
 
     for u0 in candidates:
-        sv = _svd(u0, compute_uv=False)
+        uu, sv, vvh = _svd(u0)
         if sv[0] == 0.0 or sv[-1] <= tol * sv[0]:
             continue  # singular: not invertible, no unitary polar factor
-        uu, _, vvh = _svd(u0, full_matrices=True)
         u = uu @ vvh
         resid = _operator_norms(u @ m1 - m2 @ u).max()
         if resid > tol * scale:

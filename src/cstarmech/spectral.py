@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraElement, _exceeds, classify, operator_norm
+from .algebra import AlgebraElement, _exceeds, classify
 from .errors import EvaluationDomainError, InvalidInputError, NumericalError
 from .states import DensityState, _check_dims
 
@@ -45,9 +45,9 @@ class SpectralMeasure:
 
 
 def _normal_eigensystem(a: AlgebraElement, tol: float):
-    """Eigenvalues, an orthonormal eigenbasis and the norm of a normal matrix.
-    A Schur form is accepted when its off-diagonal part is within
-    max(tol, 1e-9) max(||a||, 1), which Frobenius bounds decide."""
+    """Eigenvalues, an orthonormal eigenbasis and the norm of a normal matrix,
+    max |eigenvalue|. A Schur form is accepted when its off-diagonal part is
+    within max(tol, 1e-9) max(||a||, 1), which Frobenius bounds decide."""
     flags = classify(a, tol)
     if not flags.normal:
         raise InvalidInputError("element is not normal within tolerance")
@@ -55,14 +55,14 @@ def _normal_eigensystem(a: AlgebraElement, tol: float):
     try:
         if flags.selfadjoint:
             vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-            return vals.astype(complex), vecs, operator_norm(a)
+            return vals.astype(complex), vecs, float(np.abs(vals).max())
         t, z = scipy.linalg.schur(m, output="complex")
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     # for a normal matrix the Schur form is diagonal up to round-off
     if _exceeds((t - np.diag(np.diag(t)))[None], m[None], max(tol, 1e-9))[0]:
         raise InvalidInputError("element is not normal within tolerance")
-    return np.diag(t), z, operator_norm(a)
+    return np.diag(t), z, float(np.abs(np.diag(t)).max())
 
 
 def _cluster(values: np.ndarray, ctol: float):

@@ -245,10 +245,14 @@ def uncertainty_bounds(b, a1, a2) -> tuple[np.ndarray, np.ndarray]:
 def uncertainty_check(
     omega: DensityState, a1: AlgebraElement, a2: AlgebraElement
 ) -> UncertaintyReport:
-    """Check Delta(A1) Delta(A2) >= |omega([A1, A2])| / 2."""
+    """Check Delta(A1) Delta(A2) >= |omega([A1, A2])| / 2, within
+    1e-10 max(||A1||_F ||A2||_F, 1)."""
     lhs, rhs = _bounds(omega.b[None], a1.entries[None], a2.entries[None])
     lhs, rhs = float(lhs[0]), float(rhs[0])
-    return UncertaintyReport(lhs=lhs, rhs=rhs, holds=lhs >= rhs - 1e-10)
+    # both sides round in proportion to ||A1|| ||A2||, which the Frobenius
+    # norms bound from above
+    scale = max(np.linalg.norm(a1.entries) * np.linalg.norm(a2.entries), 1.0)
+    return UncertaintyReport(lhs=lhs, rhs=rhs, holds=lhs >= rhs - 1e-10 * scale)
 
 
 def has_definite_value(omega: DensityState, a: AlgebraElement, tol: float = 1e-10) -> bool:

@@ -138,6 +138,12 @@ class TestGenerateAlgebra:
         with pytest.raises(InvalidInputError):
             generate_algebra([])
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, 1.0, 2.0, 1e300, np.inf, np.nan])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        # a rank cut at tol >= 1 keeps no row, and NaN compares false
+        with pytest.raises(InvalidInputError, match="tol must lie in"):
+            generate_algebra([AlgebraElement(SZ)], tol)
+
 
 class TestIsCommutative:
     def test_diagonal_algebra(self):

@@ -371,6 +371,11 @@ class TestBracketTable:
         assert [r[0] for r in rows[:3]] == ["{X,P_X}=1", "{Q,Q}=0", "{L_X,L_Y}=L_Z"]
         assert max(r[-1] for r in rows) <= 1e-6
 
+    def test_rejects_negative_points(self):
+        with pytest.raises(InvalidInputError, match="points"):
+            bracket_table(-1, np.random.default_rng(7))
+        assert bracket_table(0, np.random.default_rng(7)) == []
+
     def test_right_hand_sides(self):
         z = PhasePoint([0.5, -1.0, 2.0], [1.5, 0.25, -0.75])
         rhs = [rhs(z) for *_, rhs in BRACKET_RELATIONS]

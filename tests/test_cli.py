@@ -490,6 +490,12 @@ class TestRunRecord:
         ("spectrum", dict(SPECTRUM_MISS, expect={"values": [0.5, 1.5, 2.5]})),
         ("spectrum", dict(SPECTRUM_MISS, expect={"values": [[0.5], [1.5]]})),
         ("spectrum", dict(SPECTRUM_MISS, expect={"values": [0.0, 1.5], "relative": True})),
+        ("gns", dict(CLI_CONFIGS["gns"], tol=float("nan"))),
+        ("gns", dict(CLI_CONFIGS["gns"], tol=1e300)),
+        ("evolve", dict(CLI_CONFIGS["evolve"], dt=float("nan"))),
+        ("evolve", dict(CLI_CONFIGS["evolve"], dt=float("inf"))),
+        ("evolve", dict(CLI_CONFIGS["evolve"], t_final=float("inf"))),
+        ("classical", dict(CLI_CONFIGS["classical"], points=-1)),
     ])
     @pytest.mark.filterwarnings("error")
     def test_failed_run_leaves_only_the_manifest(self, tmp_path, command, cfg):

@@ -53,6 +53,13 @@ class TestPotentials:
         with pytest.raises(InvalidInputError):
             EvolutionConfig(dt=-0.1, t_final=1.0, potential=make_potential("free"))
 
+    @pytest.mark.parametrize("dt, t_final", [
+        (np.nan, 1.0), (np.inf, 1.0), (1e-3, np.nan), (1e-3, np.inf), (np.inf, np.inf),
+    ])
+    def test_config_rejects_non_finite(self, dt, t_final):
+        with pytest.raises(InvalidInputError, match="finite"):
+            EvolutionConfig(dt=dt, t_final=t_final, potential=make_potential("free"))
+
     def test_steps_round_to_nearest(self):
         # 0.3 / 0.1 is 2.9999999999999996 in floating point
         c = EvolutionConfig(dt=0.1, t_final=0.3, potential=make_potential("free"))

@@ -470,6 +470,16 @@ class TestIntertwiner:
         for a, b in zip(rep1, rep2):
             np.testing.assert_allclose(u @ a, b @ u, atol=1e-8)
 
+    def test_one_svd_per_candidate(self, rng, monkeypatch):
+        # the singularity test and the polar factor read one SVD
+        args = []
+        real = gns._svd
+        monkeypatch.setattr(gns, "_svd", lambda m, **kw: args.append(m) or real(m, **kw))
+        pair, w = clock_shift(4), random_unitary(rng, 4)
+        rep1 = [pair.U, pair.V]
+        assert find_intertwiner(rep1, [w @ r @ w.conj().T for r in rep1]) is not None
+        assert args and len({id(m) for m in args}) == len(args)
+
     def test_nilpotent_against_itself(self):
         # the identity intertwines; the non-unitary members of the plain
         # intertwiner space (polynomials in N3) must not hide it

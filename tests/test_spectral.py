@@ -47,6 +47,25 @@ class TestSpectrum:
         assert all(lam.imag == 0.0 for lam, _ in mu.atoms)
         assert len(calls) == 2  # one per call
 
+    @pytest.mark.parametrize("kind", ["selfadjoint", "unitary"])
+    def test_norm_taken_once(self, rng, monkeypatch, kind):
+        # classify's batched SVD is the one ord-2 norm; the norm that scales
+        # the cluster cut is max |eigenvalue|
+        a = random_selfadjoint(rng, 5) if kind == "selfadjoint" else AlgebraElement(
+            clock_shift(5).U)
+        want = np.linalg.norm(a.entries, 2)
+        shapes, real_norm = [], np.linalg.norm
+
+        def norm(x, ord=None, axis=None, keepdims=False):
+            if ord == 2:
+                shapes.append(x.shape)
+            return real_norm(x, ord, axis, keepdims)
+
+        monkeypatch.setattr(np.linalg, "norm", norm)
+        spectral_measure(random_density(rng, 5), a)
+        assert shapes == [(4, 5, 5)]
+        assert spectral._normal_eigensystem(a, 1e-8)[2] == pytest.approx(want, rel=1e-14)
+
     def test_rejects_non_normal(self):
         with pytest.raises(InvalidInputError):
             spectrum(AlgebraElement([[0, 1], [0, 0]]))

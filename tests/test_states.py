@@ -18,6 +18,7 @@ from cstarmech.sampling import (
     random_element,
     random_pure_vector,
     random_selfadjoint,
+    random_unitary,
     selfadjoint_matrix,
 )
 from cstarmech.states import (
@@ -212,6 +213,18 @@ class TestUncertainty:
                 random_selfadjoint(rng, n),
                 random_selfadjoint(rng, n),
             )
+            assert rep.holds
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_saturated_pair_holds_at_large_norm(self, rng, scale):
+        # u|0> and the rotated pair s u sx u*, s u sy u* attain the bound
+        # exactly, so only rounding, which grows as s^2, sets the margin
+        for _ in range(200):
+            u = random_unitary(rng, 2)
+            omega = DensityState(u @ np.diag([1.0, 0.0]) @ u.conj().T)
+            rep = uncertainty_check(omega, AlgebraElement(scale * u @ SX @ u.conj().T),
+                                    AlgebraElement(scale * u @ SY @ u.conj().T))
+            assert rep.lhs == pytest.approx(rep.rhs, rel=1e-12)
             assert rep.holds
 
 

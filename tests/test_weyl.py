@@ -9,6 +9,7 @@ from cstarmech.gns import find_intertwiner, is_irreducible
 from cstarmech.sampling import random_unitary
 from cstarmech.weyl import (
     Grid1D,
+    ObstructionReport,
     WaveFunction,
     build_momentum,
     build_position,
@@ -195,6 +196,56 @@ class TestPositionMomentum:
         got = psi.braket(build_momentum(g))
         assert got.real == pytest.approx(p0, abs=1e-8)
         assert abs(got.imag) < 1e-10
+
+
+def dense_obstruction_report(grid):
+    """The report from dense matrices: X = diag(x) as a matrix, dense
+    products, an SVD for every norm and probes built as WaveFunctions."""
+    x, p = build_position(grid), build_momentum(grid)
+    c = p @ x - x @ p
+    sigma, k = grid.L / 24, 2 * np.pi / grid.L * 4
+
+    def deviation(mat, centers):
+        probes = np.stack([WaveFunction.gaussian(grid, x0=x0, p0=p0, sigma=sigma).to_unit_vector()
+                           for x0 in centers for p0 in (0.0, k)], axis=1)
+        return float(np.linalg.norm(mat @ probes, axis=0).max())
+
+    quarter = grid.L / 4
+    interior = np.linspace(-quarter / 2, quarter / 2, 5)
+    devs = {s: deviation(c - 1j * s * np.eye(grid.N), interior) for s in (1, -1)}
+    sign = 1 if devs[1] <= devs[-1] else -1
+    d = c - 1j * sign * np.eye(grid.N)
+    bounds, xn = [], np.eye(grid.N, dtype=complex)
+    for n in range(1, 11):
+        xn_next = xn @ x
+        comm = p @ xn_next - xn_next @ p
+        bounds.append((n, n / 2.0, np.linalg.norm(comm, 2) / (2 * np.linalg.norm(xn, 2))))
+        xn = xn_next
+    return ObstructionReport(
+        trace_of_commutator=complex(np.trace(c)),
+        sign=sign,
+        interior_deviation=devs[sign],
+        boundary_deviation=deviation(d, [-grid.L / 2, grid.L / 2 - grid.dx]),
+        full_matrix_deviation=np.linalg.norm(d, 2),
+        norm_product=np.linalg.norm(x, 2) * np.linalg.norm(p, 2),
+        lower_bounds=tuple(bounds),
+    )
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("length", [8.0, 20.0])
+def test_report_matches_the_dense_reference(n, length):
+    grid = Grid1D(N=n, L=length)
+    got, want = heisenberg_obstruction_report(grid), dense_obstruction_report(grid)
+    assert got.trace_of_commutator == want.trace_of_commutator
+    assert got.sign == want.sign
+    for field in ("interior_deviation", "boundary_deviation", "full_matrix_deviation"):
+        assert getattr(got, field) == pytest.approx(
+            getattr(want, field), rel=0, abs=1e-12 * want.norm_product), field
+    assert got.norm_product == pytest.approx(want.norm_product, rel=1e-12)
+    assert [b[:2] for b in got.lower_bounds] == [b[:2] for b in want.lower_bounds]
+    for g, w in zip(got.lower_bounds, want.lower_bounds):
+        assert g[2] == pytest.approx(w[2], rel=1e-12)
 
 
 @pytest.fixture(scope="module")
