@@ -180,8 +180,8 @@ class ElementFlags:
 def classify(a: AlgebraElement, tol: float = DEFAULT_TOL) -> ElementFlags:
     """Test the defining identities of self-adjoint / normal / unitary /
     positive elements, each within ``tol`` in operator norm."""
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+    if not 0 < tol:
+        raise InvalidInputError(f"tol must be positive, got {tol}")
     m = a.entries
     mh = m.conj().T
     # not _exceeds: the positivity bound needs ||m|| itself, and the normal

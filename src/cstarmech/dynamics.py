@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+from numpy.fft._pocketfft_umath import fft, ifft
 
 from .algebra import AlgebraElement, _as_matrix, _exceeds
 from .errors import (
@@ -151,7 +152,10 @@ def _strang_blocks(psi0: WaveFunction, cfg: EvolutionConfig):
     Strang splitting exp(-i dt V/2) exp(-i dt P^2/2) exp(-i dt V/2), the
     kinetic factor in Fourier space (Feit, Fleck & Steiger 1982). Each step
     writes straight into its row, with the operands of
-    half_v * ifft(kin * fft(half_v * psi)) in that order. It is unitary per
+    half_v * ifft(kin * fft(half_v * psi)) in that order. The transforms are
+    the pocketfft gufuncs that np.fft.fft and np.fft.ifft wrap, called with
+    the factors those wrappers pass for norm=None (1 forward, 1 / N back):
+    the same bits without the wrappers' per-call dispatch. It is unitary per
     step, so a norm drift beyond 1e-6 is a NumericalError naming the first
     step with one; the norms are checked once per block (t = 0 passes, as
     _require_normalized holds it within 1e-8).
@@ -172,9 +176,9 @@ def _strang_blocks(psi0: WaveFunction, cfg: EvolutionConfig):
             psi[:] = psi0.samples
         for row in rows:
             np.multiply(half_v, psi, out=buf)
-            np.fft.fft(buf, out=buf)
+            fft(buf, 1.0, out=buf)
             np.multiply(kin, buf, out=buf)
-            np.fft.ifft(buf, out=row)
+            ifft(buf, 1 / n, out=row)
             np.multiply(half_v, row, out=row)
             psi = row
         dens = np.abs(states) ** 2

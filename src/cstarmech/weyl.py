@@ -44,8 +44,8 @@ class Grid1D:
     def __post_init__(self):
         if self.N < 2 or (self.N & (self.N - 1)) != 0:
             raise InvalidInputError("N must be a power of two")
-        if not (self.L > 0):
-            raise InvalidInputError("L must be positive")
+        if not 0 < self.L < np.inf:
+            raise InvalidInputError(f"L must be positive and finite, got {self.L}")
 
     @property
     def dx(self) -> float:

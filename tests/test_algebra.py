@@ -115,6 +115,11 @@ class TestClassify:
         flags = classify(AlgebraElement(np.eye(3)), 1e-10)
         assert all([flags.selfadjoint, flags.normal, flags.unitary, flags.positive])
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+    def test_tol_not_positive_rejected(self, tol):
+        with pytest.raises(InvalidInputError, match="tol must be positive"):
+            classify(AlgebraElement(np.eye(2)), tol)
+
 
 class TestGenerateAlgebra:
     def test_identity_generates_scalars(self):
@@ -289,6 +294,24 @@ class TestNormKernel:
             used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
             used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             assert not used & {"_operator_norms", "operator_norm"}, name
+
+    def test_private_fft_only_in_dynamics(self):
+        # the Strang stepper calls numpy's private pocketfft gufuncs; one
+        # import in one module holds that dependency
+        found = []
+        for path in sorted(Path(cstarmech.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                elif isinstance(node, ast.Attribute):
+                    names = [ast.unparse(node)]
+                else:
+                    continue
+                if any("_pocketfft_umath" in name for name in names):
+                    found.append(path.name)
+        assert found == ["dynamics.py"]
 
 
 def svd_verdict(d, m, tol):

@@ -496,6 +496,8 @@ class TestRunRecord:
         ("evolve", dict(CLI_CONFIGS["evolve"], dt=float("inf"))),
         ("evolve", dict(CLI_CONFIGS["evolve"], t_final=float("inf"))),
         ("classical", dict(CLI_CONFIGS["classical"], points=-1)),
+        ("evolve", dict(CLI_CONFIGS["evolve"], grid={"N": 128, "L": float("inf")})),
+        ("weyl", {"n": 4, "grid": {"N": 32, "L": float("inf")}}),
     ])
     @pytest.mark.filterwarnings("error")
     def test_failed_run_leaves_only_the_manifest(self, tmp_path, command, cfg):

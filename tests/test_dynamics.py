@@ -456,6 +456,24 @@ class TestBlockStepper:
     def psi0(self):
         return WaveFunction.gaussian(self.GRID, x0=0.8, p0=-0.4, sigma=0.8)
 
+    @pytest.mark.parametrize("n", [2**p for p in range(1, 13)])
+    def test_kernels_give_the_bytes_of_np_fft(self, n):
+        # the stepper calls the gufuncs behind np.fft.fft and np.fft.ifft with
+        # the factors those pass for norm=None; a numpy that changes either
+        # fails here, not as drift in the evolved states
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        blowup = z.copy()
+        blowup[n // 2] = np.inf
+        for a in (z, blowup):
+            for kernel, factor, want in ((dynamics.fft, 1.0, np.fft.fft(a)),
+                                         (dynamics.ifft, 1 / n, np.fft.ifft(a))):
+                out = np.empty_like(a)
+                kernel(a, factor, out=out)
+                inplace = a.copy()
+                kernel(inplace, factor, out=inplace)
+                assert out.tobytes() == inplace.tobytes() == want.tobytes()
+
     def test_returned_states_own_their_memory(self):
         config = cfg(dt=0.01, t_final=0.4)
         out = evolve_schrodinger(self.psi0(), config)
@@ -470,7 +488,7 @@ class TestBlockStepper:
         psi = next(islice(strang_states(self.psi0(), config, scale_from=k), k, None))
         nrm = np.sqrt(np.sum(np.abs(psi) ** 2) * self.GRID.dx)
         calls = []
-        ifft = np.fft.ifft
+        ifft = dynamics.ifft
 
         def drifting_ifft(a, *args, out=None, **kwargs):
             calls.append(None)
@@ -479,7 +497,7 @@ class TestBlockStepper:
                 res *= 1 + 1e-5
             return res
 
-        monkeypatch.setattr(np.fft, "ifft", drifting_ifft)
+        monkeypatch.setattr(dynamics, "ifft", drifting_ifft)
         with pytest.raises(NumericalError) as exc:
             run(self.psi0(), config)
         assert str(exc.value) == f"norm drifted to {nrm} at step {k}"

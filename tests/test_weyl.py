@@ -35,6 +35,11 @@ class TestGrid:
         with pytest.raises(InvalidInputError):
             Grid1D(N=8, L=0.0)
 
+    @pytest.mark.parametrize("length", [float("inf"), float("nan")])
+    def test_rejects_non_finite_length(self, length):
+        with pytest.raises(InvalidInputError, match="L must be positive and finite"):
+            Grid1D(N=8, L=length)
+
 
 class TestWaveFunction:
     def test_norm_uses_dx_weight(self):
