@@ -157,6 +157,16 @@ def _exceeds(d: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
+def _not_selfadjoint(m: np.ndarray, mh: np.ndarray, tol: float) -> np.ndarray:
+    """The one self-adjointness gate: flags each row of a (S, n, n) stack m,
+    adjoints mh, whose m - m* overflows or _exceeds tol max(||m||, 1)."""
+    with np.errstate(over="ignore"):
+        d = m - mh
+    overflow = ~np.isfinite(d).all(axis=(1, 2))
+    d[overflow] = 0
+    return overflow | _exceeds(d, m, tol)
+
+
 def operator_norm(a) -> float:
     """Largest singular value of the matrix (the C* norm)."""
     m = a.entries if isinstance(a, AlgebraElement) else _as_matrix(a)
@@ -179,24 +189,21 @@ class ElementFlags:
 
 def classify(a: AlgebraElement, tol: float = DEFAULT_TOL) -> ElementFlags:
     """Test the defining identities of self-adjoint / normal / unitary /
-    positive elements, each within ``tol`` in operator norm."""
+    positive elements by _exceeds, within tol max(||m||, 1) in operator norm,
+    or tol max(||m m*||, 1) for m m* - m* m and m m* - 1."""
     if not 0 < tol:
         raise InvalidInputError(f"tol must be positive, got {tol}")
     m = a.entries
     mh = m.conj().T
-    # not _exceeds: the positivity bound needs ||m|| itself, and the normal
-    # and unitary bounds its square, so the SVD of m is paid in any case
-    norm, sa_err, nrm_err, uni_err = _operator_norms(
-        np.stack([m, m - mh, m @ mh - mh @ m, m @ mh - np.eye(a.dim)]))
-    scale = max(norm, 1.0)
-    sa = bool(sa_err <= tol * scale)
-    nrm = bool(nrm_err <= tol * scale**2)
-    uni = bool(uni_err <= tol * scale**2)
-    pos = False
-    if sa:
-        eigs = np.linalg.eigvalsh((m + mh) / 2)
-        pos = bool(eigs.min() >= -tol * scale)
-    return ElementFlags(selfadjoint=sa, normal=nrm, unitary=uni, positive=pos)
+    sa = not _not_selfadjoint(m[None], mh[None], tol)[0]
+    # ||m m*|| = ||m||^2 scales the normal and unitary rows; the positive row
+    # is the part of the Hermitian part's spectrum below zero
+    below = np.zeros_like(m)
+    below[0, 0] = max(-np.linalg.eigvalsh(m / 2 + mh / 2)[0], 0.0)
+    mm = m @ mh
+    nrm, uni, neg = _exceeds(np.stack([mm - mh @ m, mm - np.eye(a.dim), below]),
+                             np.stack([mm, mm, m]), tol)
+    return ElementFlags(selfadjoint=sa, normal=not nrm, unitary=not uni, positive=sa and not neg)
 
 
 @dataclass(frozen=True)

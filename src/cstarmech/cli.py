@@ -186,8 +186,7 @@ def cmd_weyl(cfg: dict, seed: int):
                                "order_residual": 1e-10 * n}
 
     if "grid" in cfg:
-        g = cfg["grid"]
-        grid = Grid1D(N=_field(g, "N", int), L=_field(g, "L", float))
+        grid = _grid_from_cfg(cfg)
         alpha = _field(cfg, "alpha", float, 2 * np.pi / grid.L)
         beta = _field(cfg, "beta", float, grid.dx)
         u, v = grid_weyl_ops(grid, alpha, beta)

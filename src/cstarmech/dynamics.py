@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 from numpy.fft._pocketfft_umath import fft, ifft
 
-from .algebra import AlgebraElement, _as_matrix, _exceeds
+from .algebra import AlgebraElement, _as_matrix, _not_selfadjoint
 from .errors import (
     DimensionMismatchError,
     EvaluationDomainError,
@@ -156,16 +156,20 @@ def _strang_blocks(psi0: WaveFunction, cfg: EvolutionConfig):
     the pocketfft gufuncs that np.fft.fft and np.fft.ifft wrap, called with
     the factors those wrappers pass for norm=None (1 forward, 1 / N back):
     the same bits without the wrappers' per-call dispatch. It is unitary per
-    step, so a norm drift beyond 1e-6 is a NumericalError naming the first
-    step with one; the norms are checked once per block (t = 0 passes, as
-    _require_normalized holds it within 1e-8).
+    step, so a norm drift beyond 1e-6, or a NaN norm, is a NumericalError
+    naming the first step with one; the norms are checked once per block
+    (t = 0 passes, as _require_normalized holds it within 1e-8). A phase
+    factor that is not finite is a NumericalError before the first step.
     """
     if cfg.method != "split-operator":
         raise InvalidInputError(f"Strang stepping cannot run method {cfg.method!r}")
     _require_normalized(psi0)
     dx = psi0.grid.dx
-    half_v = np.exp(-0.5j * cfg.dt * cfg.potential(psi0.grid.points))
-    kin = np.exp(-0.5j * cfg.dt * psi0.grid.frequencies**2)
+    with np.errstate(all="ignore"):  # an overflowing phase is refused below
+        half_v = np.exp(-0.5j * cfg.dt * cfg.potential(psi0.grid.points))
+        kin = np.exp(-0.5j * cfg.dt * psi0.grid.frequencies**2)
+    if not (np.isfinite(half_v).all() and np.isfinite(kin).all()):
+        raise NumericalError("Strang phases are not finite: dt V or dt k^2 overflows")
     n, total = psi0.grid.N, cfg.steps + 1
     buf = np.empty(n, dtype=complex)
     for start in range(0, total, _BLOCK):
@@ -183,7 +187,7 @@ def _strang_blocks(psi0: WaveFunction, cfg: EvolutionConfig):
             psi = row
         dens = np.abs(states) ** 2
         nrm2 = np.sum(dens, axis=1) * dx
-        drift = np.abs(np.sqrt(nrm2) - 1.0) > 1e-6
+        drift = ~(np.abs(np.sqrt(nrm2) - 1.0) <= 1e-6)  # NaN drifts too
         if drift.any():
             i = int(drift.argmax())
             raise NumericalError(f"norm drifted to {np.sqrt(nrm2[i])} at step {start + i}")
@@ -211,10 +215,10 @@ class _Propagator:
 
 def _hermitian(h) -> np.ndarray:
     """(h + h*)/2 of a finite square matrix h that is self-adjoint within
-    1e-10 of its norm (decided by Frobenius bounds, by an SVD only near the
-    bound); anything else is an InvalidInputError."""
+    1e-10 of its norm, by algebra's self-adjointness gate; anything else,
+    an h - h* that overflows included, is an InvalidInputError."""
     hm = _as_matrix(h)
-    if _exceeds((hm - hm.conj().T)[None], hm[None], 1e-10)[0]:
+    if _not_selfadjoint(hm[None], hm.conj().T[None], 1e-10)[0]:
         raise InvalidInputError("Hamiltonian must be self-adjoint")
     return (hm + hm.conj().T) / 2
 

@@ -25,13 +25,14 @@ import numpy as np
 from .algebra import (
     AlgebraBasis,
     AlgebraElement,
-    _exceeds,
+    _not_selfadjoint,
     _operator_norms,
     _orthonormal_rows,
     _svd,
     operator_norm,
 )
 from .errors import ClosureError, InvalidInputError, InvalidStateError
+from .spectral import _clusters
 from .states import DensityState
 
 __all__ = [
@@ -149,14 +150,14 @@ def gns_construct(omega: AbstractState, rank_tol: float = 1e-10) -> GnsResult:
     The Hilbert space is the range of the Gram matrix above the rank
     threshold; left multiplication descends to the quotient and the class
     of the identity is the cyclic vector. The Gram matrix must be Hermitian
-    within 1e-10 max(||G||, 1), which Frobenius bounds decide.
+    within 1e-10 max(||G||, 1), by algebra's self-adjointness gate.
     """
     basis = omega.basis
     struct = structure_tensor(basis, basis.tol)
     g = omega.gram(struct)
-    skew = g - g.conj().T
-    if _exceeds(skew[None], g[None], 1e-10)[0]:
-        raise InvalidStateError(f"Gram matrix not Hermitian (error {operator_norm(skew):.2e})")
+    if _not_selfadjoint(g[None], g.conj().T[None], 1e-10)[0]:
+        skew = operator_norm(g - g.conj().T)
+        raise InvalidStateError(f"Gram matrix not Hermitian (error {skew:.2e})")
     g = (g + g.conj().T) / 2
 
     evals, evecs = np.linalg.eigh(g)
@@ -244,19 +245,18 @@ def _restriction(left, right, flag):
 
     xl = sum_j flag_j (c_j left_j + h.c.) with seeded random c_j, and xr
     the same on right_j: every M sought must have right_j* M = M left_j*
-    for each flagged j. The 2h eigenvalues are cut together at gaps above
-    max(1e-8 max|lambda|, 1e-12) (single linkage, which errs toward
-    merging and so only costs time); with nothing flagged, x = 0 and every
-    pair is returned.
+    for each flagged j. The 2h eigenvalues are clustered together by
+    spectral._clusters(., 1e-8), which errs toward merging and so only
+    costs time; with nothing flagged, x = 0 and every pair is returned.
     """
     rng = np.random.default_rng(0)
     c = (rng.standard_normal(len(flag)) + 1j * rng.standard_normal(len(flag))) * flag
     x = np.stack([np.tensordot(c, m, axes=1) for m in (left, right)])
     evals, z = np.linalg.eigh(x + x.conj().transpose(0, 2, 1))
-    # stable: the default kind pages in numpy's SIMD quicksort (~0.3 MB resident)
-    s = np.sort(evals, axis=None, kind="stable")
-    breaks = s[1:][np.diff(s) > max(1e-8 * np.abs(s).max(), 1e-12)]
-    lab_l, lab_r = np.searchsorted(breaks, evals, side="right")
+    labels = np.empty(evals.size, dtype=int)
+    for k, members in enumerate(_clusters(evals.ravel(), 1e-8)):
+        labels[members] = k
+    lab_l, lab_r = labels.reshape(evals.shape)
     return z, np.nonzero(lab_r[:, None] == lab_l[None, :])
 
 

@@ -24,9 +24,6 @@ __all__ = [
     "apply_function",
 ]
 
-_CLUSTER_FLOOR = 1e-12
-
-
 @dataclass(frozen=True)
 class SpectralMeasure:
     """Atomic probability measure on the spectrum of a normal element."""
@@ -45,9 +42,9 @@ class SpectralMeasure:
 
 
 def _normal_eigensystem(a: AlgebraElement, tol: float):
-    """Eigenvalues, an orthonormal eigenbasis and the norm of a normal matrix,
-    max |eigenvalue|. A Schur form is accepted when its off-diagonal part is
-    within max(tol, 1e-9) max(||a||, 1), which Frobenius bounds decide."""
+    """Eigenvalues and an orthonormal eigenbasis of a normal matrix. A Schur
+    form is accepted when its off-diagonal part is within max(tol, 1e-9)
+    max(||a||, 1), which Frobenius bounds decide."""
     flags = classify(a, tol)
     if not flags.normal:
         raise InvalidInputError("element is not normal within tolerance")
@@ -55,20 +52,21 @@ def _normal_eigensystem(a: AlgebraElement, tol: float):
     try:
         if flags.selfadjoint:
             vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-            return vals.astype(complex), vecs, float(np.abs(vals).max())
+            return vals.astype(complex), vecs
         t, z = scipy.linalg.schur(m, output="complex")
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     # for a normal matrix the Schur form is diagonal up to round-off
     if _exceeds((t - np.diag(np.diag(t)))[None], m[None], max(tol, 1e-9))[0]:
         raise InvalidInputError("element is not normal within tolerance")
-    return np.diag(t), z, float(np.abs(np.diag(t)).max())
+    return np.diag(t), z
 
 
-def _cluster(values: np.ndarray, ctol: float):
-    """Single-linkage clusters of eigenvalues (linked at distance <= ctol),
-    ordered by first member in lexicographic order; returns (cluster means,
-    list of index arrays)."""
+def _clusters(values: np.ndarray, rel: float) -> list[np.ndarray]:
+    """The one eigenvalue cut: index arrays of the single-linkage clusters at
+    distance <= max(rel max|lambda|, 1e-12) (max|lambda| = ||a|| for a normal
+    a), members and clusters in lexicographic (real, imag) order."""
+    ctol = max(rel * float(np.abs(values).max()), 1e-12)
     order = np.lexsort((values.imag, values.real))
     v = values[order]
     # transitive closure by squaring; the 0/1 path counts are exact floats
@@ -77,17 +75,15 @@ def _cluster(values: np.ndarray, ctol: float):
         link = closed
     first = link.argmax(axis=1)  # each member's cluster, by its first member
     # not np.unique, whose sort pages in numpy's SIMD quicksort (~0.3 MB resident)
-    groups = [order[first == f] for f in np.flatnonzero(first == np.arange(len(v)))]
-    return [complex(values[g].mean()) for g in groups], groups
+    return [order[first == f] for f in np.flatnonzero(first == np.arange(len(v)))]
 
 
 def spectrum(a: AlgebraElement, tol: float = 1e-8) -> list[complex]:
     """Clustered eigenvalues of a normal element.
 
     Self-adjoint inputs yield real outputs exactly (eigh path)."""
-    vals, _, norm = _normal_eigensystem(a, tol)
-    means, _ = _cluster(vals, max(tol * norm, _CLUSTER_FLOOR))
-    return means
+    vals, _ = _normal_eigensystem(a, tol)
+    return [complex(vals[g].mean()) for g in _clusters(vals, tol)]
 
 
 def spectral_measure(
@@ -99,12 +95,12 @@ def spectral_measure(
     clustered eigenspace; moments then reproduce omega(A^k).
     """
     _check_dims(omega, a)
-    vals, vecs, norm = _normal_eigensystem(a, tol)
-    means, groups = _cluster(vals, max(tol * norm, _CLUSTER_FLOOR))
-    weights = []
-    for g in groups:
+    vals, vecs = _normal_eigensystem(a, tol)
+    means, weights = [], []
+    for g in _clusters(vals, tol):
         v = vecs[:, g]
         p = v @ v.conj().T
+        means.append(complex(vals[g].mean()))
         weights.append(float(np.trace(omega.b @ p).real))
     w = np.clip(np.array(weights), 0.0, 1.0)
     total = w.sum()
@@ -118,7 +114,7 @@ def spectral_measure(
 def apply_function(f, a: AlgebraElement, tol: float = 1e-8) -> AlgebraElement:
     """Functional calculus: apply a scalar function to the eigenvalues of a
     normal element in its eigenbasis."""
-    vals, vecs, _ = _normal_eigensystem(a, tol)
+    vals, vecs = _normal_eigensystem(a, tol)
     fv = np.asarray([f(lam) for lam in vals], dtype=complex)
     if not np.all(np.isfinite(fv)):
         raise EvaluationDomainError("function produced non-finite values on the spectrum")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, _exceeds
+from .algebra import AlgebraElement, _exceeds, _not_selfadjoint
 from .errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -68,16 +68,6 @@ def _traces(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=1, axis2=2)
 
 
-def _require_selfadjoint(m: np.ndarray, mh: np.ndarray, tol: float, error, what: str):
-    """Flag each row whose m - m* exceeds tol max(||m||, 1) or overflows;
-    Frobenius bounds decide the norms, an SVD only the rows they leave open."""
-    with np.errstate(over="ignore"):
-        d = m - mh
-    overflow = ~np.isfinite(d).all(axis=(1, 2))
-    d[overflow] = 0
-    _first_bad(overflow | _exceeds(d, m, tol), error, what)
-
-
 def check_densities(b) -> np.ndarray:
     """Check a stack of density matrices and return it as a complex array.
 
@@ -89,8 +79,8 @@ def check_densities(b) -> np.ndarray:
     """
     m = _as_stack(b, InvalidStateError, "density")
     mh = _adjoints(m)
-    _require_selfadjoint(m, mh, _STATE_TOL, InvalidStateError,
-                         "density matrix is not self-adjoint")
+    _first_bad(_not_selfadjoint(m, mh, _STATE_TOL), InvalidStateError,
+               "density matrix is not self-adjoint")
     traces = _traces(m)
     _first_bad(np.abs(traces - 1.0) > _STATE_TOL, InvalidStateError,
                "trace must be 1, got {}", traces)
@@ -108,8 +98,8 @@ def check_observables(a) -> np.ndarray:
     check_densities; the error names the first failing row.
     """
     m = _as_stack(a, InvalidInputError, "observable")
-    _require_selfadjoint(m, _adjoints(m), _OBSERVABLE_TOL, NonObservableError,
-                         "observable must be self-adjoint")
+    _first_bad(_not_selfadjoint(m, _adjoints(m), _OBSERVABLE_TOL), NonObservableError,
+               "observable must be self-adjoint")
     return m
 
 

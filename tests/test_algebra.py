@@ -12,6 +12,7 @@ import cstarmech
 from cstarmech.algebra import (
     _CERT_SLACK,
     AlgebraElement,
+    ElementFlags,
     _exceeds,
     _operator_norms,
     _orthonormal_rows,
@@ -119,6 +120,65 @@ class TestClassify:
     def test_tol_not_positive_rejected(self, tol):
         with pytest.raises(InvalidInputError, match="tol must be positive"):
             classify(AlgebraElement(np.eye(2)), tol)
+
+
+def classify_reference(m, tol):
+    """classify's flags from plain SVDs, as it decided them before its rows
+    went through _exceeds; returns them with each row's (error, bound / tol)."""
+    mh = m.conj().T
+    norm, sa_err, nrm_err, uni_err = np.linalg.svd(
+        np.stack([m, m - mh, m @ mh - mh @ m, m @ mh - np.eye(len(m))]), compute_uv=False)[:, 0]
+    scale = max(norm, 1.0)
+    below = max(-np.linalg.eigvalsh((m + mh) / 2).min(), 0.0)
+    sa = bool(sa_err <= tol * scale)
+    flags = ElementFlags(sa, bool(nrm_err <= tol * scale**2), bool(uni_err <= tol * scale**2),
+                         sa and bool(below <= tol * scale))
+    return flags, {"selfadjoint": (sa_err, scale), "normal": (nrm_err, scale**2),
+                   "unitary": (uni_err, scale**2), "positive": (below, scale)}
+
+
+def near_row(rng, n, row, eps):
+    """An element whose ``row`` identity fails by about eps: a positive
+    definite element, a normal one or a unitary plus eps times a unit-norm
+    perturbation, or a Hermitian one with the eigenvalue -eps."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g /= np.linalg.svd(g, compute_uv=False)[0]
+    u = random_unitary(rng, n)
+    if row == "selfadjoint":
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return x @ x.conj().T / n + np.eye(n) + eps * g
+    if row == "normal":
+        return (u * (rng.standard_normal(n) + 1j * rng.standard_normal(n))) @ u.conj().T + eps * g
+    if row == "unitary":
+        return u + eps * g
+    lam = rng.uniform(0.0, 1.0, n)
+    lam[0] = -eps
+    h = (u * lam) @ u.conj().T
+    return (h + h.conj().T) / 2
+
+
+class TestClassifyVerdicts:
+    """classify's flags, decided by _exceeds, equal the SVD formulas'."""
+
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           size=st.sampled_from([0.25, 1.0, 1e3]), eps=st.sampled_from([1e-9, 1e-5, 1e-2]),
+           rel=st.floats(1e-12, 1e-3), sign=st.sampled_from([-1, 1]))
+    @example(n=3, seed=0, size=1e3, eps=1e-5, rel=1e-4, sign=1)
+    @example(n=3, seed=0, size=1.0, eps=1e-5, rel=1e-4, sign=-1)
+    def test_matches_the_svd_formulas(self, n, seed, size, eps, rel, sign):
+        # each row in turn is put within rel of its bound, and exactly on it,
+        # by the choice of tol. ||m m*|| and ||m||^2 differ in their last
+        # bits, so the normal and unitary rows are put exactly on the bound
+        # only where both scales are 1, and rel is at least 1e-12
+        rng = np.random.default_rng(seed)
+        for row in ("selfadjoint", "normal", "unitary", "positive"):
+            m = size * near_row(rng, n, row, eps)
+            err, bound = classify_reference(m, 1.0)[1][row]
+            if err == 0.0:
+                continue  # an element of size one is always normal
+            on = row in ("selfadjoint", "positive") or size < 1.0
+            for tol in [err / bound * (1 + sign * rel)] + [err / bound] * on:
+                assert classify(AlgebraElement(m), tol) == classify_reference(m, tol)[0], row
 
 
 class TestGenerateAlgebra:
@@ -281,6 +341,22 @@ class TestNormKernel:
                 elif (func.endswith("operator_norm") and node.args
                       and isinstance(node.args[0], ast.Call)
                       and ast.unparse(node.args[0].func).endswith("AlgebraElement")):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+    def test_sorts_only_in_spectral(self):
+        # every eigenvalue cut is spectral._clusters: no other module sorts,
+        # so no second clustering can come back unnoticed
+        family = {"sort", "argsort", "unique", "searchsorted", "lexsort"}
+        found = []
+        for path in sorted(Path(cstarmech.__file__).parent.glob("*.py")):
+            if path.name == "spectral.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = ([alias.name for alias in node.names]
+                         if isinstance(node, ast.ImportFrom) else
+                         [getattr(node, "attr", getattr(node, "id", None))])
+                if family & set(names):
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
 

@@ -463,6 +463,12 @@ SPECTRUM_MISS = {"kind": "grid", "grid": {"N": 128, "L": 16.0},
                  "expect": {"values": [0.4, 1.4], "tol": 1e-6}}
 
 
+# finite dt and V whose product overflows in the Strang phase exp(-i dt V / 2)
+STRANG_OVERFLOW = {"grid": {"N": 64, "L": 20.0},
+                   "potential": {"name": "quartic", "params": {"a": 1e300}},
+                   "dt": 1e5, "t_final": 1e5}
+
+
 class TestRunRecord:
     """Each subcommand returns its outputs and checks; main writes them."""
 
@@ -498,13 +504,16 @@ class TestRunRecord:
         ("classical", dict(CLI_CONFIGS["classical"], points=-1)),
         ("evolve", dict(CLI_CONFIGS["evolve"], grid={"N": 128, "L": float("inf")})),
         ("weyl", {"n": 4, "grid": {"N": 32, "L": float("inf")}}),
+        ("evolve", STRANG_OVERFLOW),
     ])
     @pytest.mark.filterwarnings("error")
-    def test_failed_run_leaves_only_the_manifest(self, tmp_path, command, cfg):
+    def test_failed_run_leaves_only_the_manifest(self, tmp_path, capsys, command, cfg):
         code, out = run(tmp_path, command, cfg)
-        assert code == 2
+        # an overflowing Strang phase is a numerical failure, the rest config errors
+        assert code == (3 if cfg is STRANG_OVERFLOW else 2)
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
         assert read_manifest(out)["checks"] is None
+        assert "Warning" not in capsys.readouterr().err
 
     def test_commands_do_no_file_io(self):
         tree = ast.parse(inspect.getsource(cli))

@@ -270,6 +270,16 @@ class TestBoundStates:
         with pytest.raises(InvalidInputError):
             eigen_spectrum(np.array(h), 1)
 
+    @pytest.mark.parametrize("run", [
+        lambda h: eigen_spectrum(h, 1),
+        lambda h: evolve_heisenberg(AlgebraElement(SX), AlgebraElement(h), 1.0),
+    ], ids=["eigen_spectrum", "evolve_heisenberg"])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_skew_part_is_not_self_adjoint(self, run):
+        # h - h* overflows: refused by the self-adjointness gate, no numpy warning
+        with pytest.raises(InvalidInputError, match="^Hamiltonian must be self-adjoint$"):
+            run(np.array([[1e308, -1e308], [1e308, 1.0]]))
+
     def test_quartic_levels_spread_faster_than_harmonic(self):
         g = Grid1D(N=512, L=16.0)
         hq = eigen_spectrum(build_hamiltonian(g, make_potential("quartic")), 6)
@@ -501,6 +511,37 @@ class TestBlockStepper:
         with pytest.raises(NumericalError) as exc:
             run(self.psi0(), config)
         assert str(exc.value) == f"norm drifted to {nrm} at step {k}"
+
+    @pytest.mark.parametrize("k, steps", [(1, 67), (32, 67), (33, 67), (32, 32)])
+    @pytest.mark.parametrize("run", [evolve_schrodinger, run_trajectory, ehrenfest_check])
+    def test_nan_state_names_the_first_step(self, k, steps, run, monkeypatch):
+        # a NaN norm is no drift for ">" but is for "not <="
+        config = cfg(dt=0.01, t_final=0.01 * steps)
+        calls = []
+        ifft = dynamics.ifft
+
+        def nan_ifft(a, *args, out=None, **kwargs):
+            calls.append(None)
+            res = ifft(a, *args, out=out, **kwargs)
+            if len(calls) == k:
+                res[0] = np.nan
+            return res
+
+        monkeypatch.setattr(dynamics, "ifft", nan_ifft)
+        with pytest.raises(NumericalError) as exc:
+            run(self.psi0(), config)
+        assert str(exc.value) == f"norm drifted to nan at step {k}"
+
+    @pytest.mark.parametrize("run", [evolve_schrodinger, run_trajectory, ehrenfest_check])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_phase_is_refused_before_the_first_step(self, run, monkeypatch):
+        # dt V overflows, so exp(-i dt V / 2) is NaN: refused, no numpy warning
+        calls = []
+        monkeypatch.setattr(dynamics, "fft", lambda *args, **kwargs: calls.append(None))
+        psi0 = WaveFunction.gaussian(Grid1D(N=64, L=20.0), x0=0.0, p0=0.0, sigma=1.0)
+        with pytest.raises(NumericalError, match="^Strang phases are not finite"):
+            run(psi0, cfg("quartic", dt=1e5, t_final=3e5, a=1e300))
+        assert calls == []
 
 
 TIMES = st.floats(-3.0, 3.0, allow_subnormal=False)

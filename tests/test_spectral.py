@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cstarmech import spectral
 from cstarmech.algebra import AlgebraElement, generate_algebra
@@ -49,8 +51,8 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("kind", ["selfadjoint", "unitary"])
     def test_norm_taken_once(self, rng, monkeypatch, kind):
-        # classify's batched SVD is the one ord-2 norm; the norm that scales
-        # the cluster cut is max |eigenvalue|
+        # classify's Frobenius certificates decide these inputs, so no ord-2
+        # norm is taken; the norm that scales the cluster cut is max |eigenvalue|
         a = random_selfadjoint(rng, 5) if kind == "selfadjoint" else AlgebraElement(
             clock_shift(5).U)
         want = np.linalg.norm(a.entries, 2)
@@ -63,12 +65,91 @@ class TestSpectrum:
 
         monkeypatch.setattr(np.linalg, "norm", norm)
         spectral_measure(random_density(rng, 5), a)
-        assert shapes == [(4, 5, 5)]
-        assert spectral._normal_eigensystem(a, 1e-8)[2] == pytest.approx(want, rel=1e-14)
+        assert shapes == []
+        vals = spectral._normal_eigensystem(a, 1e-8)[0]
+        assert np.abs(vals).max() == pytest.approx(want, rel=1e-14)
 
     def test_rejects_non_normal(self):
         with pytest.raises(InvalidInputError):
             spectrum(AlgebraElement([[0, 1], [0, 0]]))
+
+
+def gap_labels(values):
+    """Cluster labels of real values from the cut at the gaps of their sort,
+    as the commutant's restriction took them before spectral._clusters."""
+    s = np.sort(values, kind="stable")
+    breaks = s[1:][np.diff(s) > max(1e-8 * np.abs(s).max(), 1e-12)]
+    return np.searchsorted(breaks, values, side="right")
+
+
+def linkage_groups(values):
+    """Single-linkage clusters of complex values, pair by pair: members and
+    clusters in lexicographic (real, imag, index) order."""
+    cut = max(1e-8 * np.abs(values).max(), 1e-12)
+    order = sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag, i))
+    root = list(range(len(values)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i in order:
+        for j in order:
+            if np.abs(values[i] - values[j]) <= cut:
+                root[find(j)] = find(i)
+    groups = {}
+    for i in order:
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def next_gap(v, cut, side):
+    """The float w above v whose computed gap w - v is the largest at most
+    ``cut`` (side 0), or the next float above that one (side 1)."""
+    w = v + cut
+    while w - v > cut:
+        w = np.nextafter(w, -np.inf)
+    while np.nextafter(w, np.inf) - v <= cut:
+        w = np.nextafter(w, np.inf)
+    return np.nextafter(w, np.inf) if side else w
+
+
+class TestClusters:
+    """spectral._clusters is the one eigenvalue cut."""
+
+    @given(top=st.sampled_from([1e-6, 1e-4, 1.0, 3.7, 1e5]), seed=st.integers(0, 2**32 - 1),
+           at_zero=st.booleans(),
+           gaps=st.lists(st.sampled_from(["tie", "above", "dup", "far"]), min_size=0, max_size=12))
+    def test_real_values_cut_at_the_sorted_gaps(self, top, seed, at_zero, gaps):
+        # gaps planted at the cut max(1e-8 max|lambda|, 1e-12): the largest
+        # float gap at most the cut and the next one above it; from zero, the
+        # first of them is the cut itself and the float after it
+        rng = np.random.default_rng(seed)
+        cut = max(1e-8 * top, 1e-12)
+        vals = [0.0 if at_zero else top * rng.uniform(-0.5, 0.5)]
+        for gap in gaps:
+            v = vals[-1]
+            vals.append({"tie": next_gap(v, cut, 0), "above": next_gap(v, cut, 1),
+                         "dup": v, "far": v + 10 * cut}[gap])
+        vals = rng.permutation(vals + [-top])
+        groups = spectral._clusters(vals, 1e-8)
+        labels = np.empty(len(vals), dtype=int)
+        for k, g in enumerate(groups):
+            labels[g] = k
+        np.testing.assert_array_equal(labels, gap_labels(vals))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           scale=st.sampled_from([1e-6, 1.0, 1e5]))
+    def test_complex_values_match_pairwise_linkage(self, seed, n, scale):
+        # members of a few centres, at distances at and about the cut
+        rng = np.random.default_rng(seed)
+        centres = scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        cut = max(1e-8 * np.abs(centres).max() * 1.01, 1e-12)
+        steps = rng.choice([0.0, 0.5, 1 - 2**-52, 1.0, 1 + 2**-52, 3.0], n)
+        vals = centres[rng.integers(0, 3, n)] + cut * steps * np.exp(2j * np.pi * rng.random(n))
+        groups = spectral._clusters(vals, 1e-8)
+        assert [g.tolist() for g in groups] == linkage_groups(vals)
 
 
 class TestSpectralMeasure:
