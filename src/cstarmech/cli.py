@@ -32,7 +32,7 @@ from .dynamics import (
 )
 from .errors import CstarmechError, InvalidInputError, NumericalError
 from .gns import AbstractState, gns_construct, is_irreducible
-from .sampling import density_matrix, selfadjoint_matrix
+from .sampling import _uncertainty_draws
 from .serialization import (
     dump_json,
     gns_result_to_json,
@@ -84,7 +84,10 @@ def _field(cfg: dict, key: str, kind=None, default=_REQUIRED):
 # subcommands
 
 
-_BLOCK = 16  # draws checked and evaluated as one stack: bounds its memory
+# normals per block of uncertainty draws (32 draws at dim 8): every
+# intermediate of a block is held at once, so a fixed float count bounds
+# the memory at every dim
+_BLOCK_FLOATS = 12288
 
 
 def _check(name: str, value, tol, ok=None) -> dict:
@@ -100,18 +103,13 @@ def cmd_uncertainty(cfg: dict, seed: int):
     if dim < 2 or samples < 1:
         raise ConfigError("dim must be >= 2 and samples >= 1")
 
-    def draw(i: int):
-        rng = np.random.default_rng([seed, i])
-        b, a1 = density_matrix(rng, dim), selfadjoint_matrix(rng, dim)
-        if include_commuting and i == 0:
-            return b, a1, a1 @ a1  # commuting pair: rhs must vanish
-        return b, a1, selfadjoint_matrix(rng, dim)
-
     lhs, rhs = np.empty(samples), np.empty(samples)
-    for start in range(0, samples, _BLOCK):
-        rows = range(start, min(start + _BLOCK, samples))
+    block = max(1, _BLOCK_FLOATS // (6 * dim * dim))
+    for start in range(0, samples, block):
+        rows = range(start, min(start + block, samples))
         try:
-            lhs[rows], rhs[rows] = uncertainty_bounds(*map(np.stack, zip(*map(draw, rows))))
+            lhs[rows], rhs[rows] = uncertainty_bounds(
+                *_uncertainty_draws(seed, dim, rows, include_commuting))
         except InvalidInputError as exc:
             raise type(exc)(f"draws {start}-{rows[-1]}, {exc}") from exc
     margin = lhs - rhs

@@ -220,7 +220,8 @@ def _hermitian(h) -> np.ndarray:
     hm = _as_matrix(h)
     if _not_selfadjoint(hm[None], hm.conj().T[None], 1e-10)[0]:
         raise InvalidInputError("Hamiltonian must be self-adjoint")
-    return (hm + hm.conj().T) / 2
+    # halves first: h + h* can overflow where h / 2 + h* / 2 cannot
+    return hm / 2 + hm.conj().T / 2
 
 
 def evolve_schrodinger(psi0: WaveFunction, cfg: EvolutionConfig) -> WaveFunction:

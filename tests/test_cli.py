@@ -4,6 +4,7 @@ import csv
 import inspect
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -79,30 +80,54 @@ class TestUncertainty:
                    "min_margin": float(margin.min())}
         dump_json(summary, out / "summary.json")
 
-    @pytest.mark.parametrize("samples", [1, 16, 17, 37])
+    # dim 4 draws fit one block; at dim 8 a block holds 32 draws, so the
+    # dim 8 counts sit one below, on and one above a block edge, and past two
+    @pytest.mark.parametrize("dim, samples", [
+        *[pytest.param(4, s, id=str(s)) for s in (1, 16, 17, 37)],
+        *[pytest.param(8, s, id=f"dim8-{s}") for s in (31, 32, 33, 65)],
+    ])
     @pytest.mark.parametrize("commuting", [True, False])
-    def test_blocks_match_per_draw_reference(self, tmp_path, samples, commuting):
-        cfg = {"dim": 4, "samples": samples, "include_commuting": commuting}
+    def test_blocks_match_per_draw_reference(self, tmp_path, dim, samples, commuting):
+        cfg = {"dim": dim, "samples": samples, "include_commuting": commuting}
         code, out = run(tmp_path, "uncertainty", cfg, seed=21)
         assert code == 0
-        self.per_draw_outputs(tmp_path / "ref", 4, samples, commuting, seed=21)
+        self.per_draw_outputs(tmp_path / "ref", dim, samples, commuting, seed=21)
         for name in ("uncertainty.csv", "summary.json"):
             assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
     def test_failed_draw_check_names_the_draw(self, tmp_path, monkeypatch, capsys):
-        draws = []
-        real = cli.density_matrix
+        real = cli._uncertainty_draws
 
-        def density_matrix(rng, n):
-            draws.append(None)
-            b = real(rng, n)
-            return 2 * b if len(draws) == 20 else b  # draw 19: trace 2
+        def draws(seed, n, rows, commuting):
+            b, a1, a2 = real(seed, n, rows, commuting)
+            if bad in rows:
+                b[rows.index(bad)] *= 2  # trace 2
+            return b, a1, a2
 
-        monkeypatch.setattr(cli, "density_matrix", density_matrix)
-        code, out = run(tmp_path, "uncertainty", {"dim": 3, "samples": 40})
-        assert code == 2
-        assert "draws 16-31, row 3: trace must be 1" in capsys.readouterr().err
-        assert not (out / "uncertainty.csv").exists()
+        monkeypatch.setattr(cli, "_uncertainty_draws", draws)
+        # dim 3 draws all fit one block; dim 8 draw 40 is row 8 of the second
+        for dim, bad, text in [(3, 19, "draws 0-69, row 19: trace must be 1"),
+                               (8, 40, "draws 32-63, row 8: trace must be 1")]:
+            code, out = run(tmp_path, "uncertainty", {"dim": dim, "samples": 70},
+                            outname=f"out{dim}")
+            assert code == 2
+            assert text in capsys.readouterr().err
+            assert not (out / "uncertainty.csv").exists()
+
+    @pytest.mark.parametrize("commuting", [True, False])
+    def test_memory_is_bounded_by_the_block(self, commuting):
+        def peak(samples):
+            cfg = {"dim": 8, "samples": samples, "include_commuting": commuting}
+            tracemalloc.start()
+            try:
+                cli.cmd_uncertainty(cfg, 5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(100), peak(1000)
+        assert max(small, large) <= 1 << 20
+        assert large <= 1.25 * small
 
 
 class TestGns:

@@ -280,6 +280,12 @@ class TestBoundStates:
         with pytest.raises(InvalidInputError, match="^Hamiltonian must be self-adjoint$"):
             run(np.array([[1e308, -1e308], [1e308, 1.0]]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_self_adjoint_near_the_float_limit(self):
+        # h + h* overflows here, h / 2 + h* / 2 does not
+        lowest = eigen_spectrum(np.array([[1e308, 1e308], [1e308, 1.0]]), 1)
+        assert lowest[0] == pytest.approx(1e308 * (1 - np.sqrt(5)) / 2, rel=1e-12)
+
     def test_quartic_levels_spread_faster_than_harmonic(self):
         g = Grid1D(N=512, L=16.0)
         hq = eigen_spectrum(build_hamiltonian(g, make_potential("quartic")), 6)
