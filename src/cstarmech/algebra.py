@@ -91,8 +91,20 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.entries.conj().T)
 
 
+def _lapack(kernel: str, *args, **kw):
+    """The one gateway to the dense factorizations: numpy.linalg's ``kernel``
+    where numpy has it and no ``lapack_driver`` is named, else scipy.linalg's,
+    looked up at each call so that patched and counted entry points see it.
+    A LinAlgError (LAPACK's INFO > 0) becomes a NumericalError naming the kernel."""
+    lib = np.linalg if hasattr(np.linalg, kernel) and "lapack_driver" not in kw else scipy.linalg
+    try:
+        return getattr(lib, kernel)(*args, **kw)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK {kernel} failed: {exc}") from exc
+
+
 def _svd(m: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
-    """numpy's SVD (LAPACK gesdd), redone with LAPACK gesvd if gesdd fails.
+    """numpy's SVD (LAPACK gesdd), redone with gesvd if it fails; NumericalError if both fail.
 
     Divide and conquer (gesdd) can fail to converge on clustered singular
     values where gesvd does not.
@@ -100,24 +112,26 @@ def _svd(m: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
     try:
         return np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
-        return scipy.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv,
-                                lapack_driver="gesvd")
+        return _lapack("svd", m, full_matrices=full_matrices, compute_uv=compute_uv,
+                       lapack_driver="gesvd")
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """m/2 + m*/2 over the last two axes: m + m* can overflow, the halves not."""
+    return m / 2 + m.conj().swapaxes(-1, -2) / 2
 
 
 def _operator_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (S, n, n) stack: the one
     C* norm kernel. Non-finite entries are refused, since a NaN norm passes
     every ``>`` check. If the batched SVD fails, each matrix goes through
-    ``_svd``; if that fails too, NumericalError."""
+    ``_svd``, which raises NumericalError if it fails too."""
     if not np.isfinite(stack).all():
         raise InvalidInputError("matrix entries must be finite")
     try:
         return np.linalg.norm(stack, 2, axis=(-2, -1))
     except np.linalg.LinAlgError:
-        try:
-            return np.array([_svd(m, compute_uv=False)[0] for m in stack])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular value computation failed: {exc}") from exc
+        return np.array([_svd(m, compute_uv=False)[0] for m in stack])
 
 
 # Relative slack of the certificate in _exceeds: covers the rounding of a
@@ -190,18 +204,23 @@ class ElementFlags:
 def classify(a: AlgebraElement, tol: float = DEFAULT_TOL) -> ElementFlags:
     """Test the defining identities of self-adjoint / normal / unitary /
     positive elements by _exceeds, within tol max(||m||, 1) in operator norm,
-    or tol max(||m m*||, 1) for m m* - m* m and m m* - 1."""
+    or tol max(||m m*||, 1) for m m* - m* m and m m* - 1. An m with an entry
+    of 2^500 or more is first scaled by the power of two 2^-s that brings its
+    largest entry into [1, 2), so that m m* cannot overflow: ||m|| >= 1 before
+    and after, every bound is homogeneous, and the unitary row is m m* - 2^-2s 1."""
     if not 0 < tol:
         raise InvalidInputError(f"tol must be positive, got {tol}")
     m = a.entries
+    s = int(np.frexp(np.abs(m).max())[1]) - 1  # the largest entry lies in [2^s, 2^(s+1))
+    m, s = (m * 2.0**-s, s) if s >= 500 else (m, 0)
     mh = m.conj().T
     sa = not _not_selfadjoint(m[None], mh[None], tol)[0]
     # ||m m*|| = ||m||^2 scales the normal and unitary rows; the positive row
     # is the part of the Hermitian part's spectrum below zero
     below = np.zeros_like(m)
-    below[0, 0] = max(-np.linalg.eigvalsh(m / 2 + mh / 2)[0], 0.0)
+    below[0, 0] = max(-_lapack("eigvalsh", _hermitian_part(m))[0], 0.0)
     mm = m @ mh
-    nrm, uni, neg = _exceeds(np.stack([mm - mh @ m, mm - np.eye(a.dim), below]),
+    nrm, uni, neg = _exceeds(np.stack([mm - mh @ m, mm - np.eye(a.dim) * 2.0**(-2 * s), below]),
                              np.stack([mm, mm, m]), tol)
     return ElementFlags(selfadjoint=sa, normal=not nrm, unitary=not uni, positive=sa and not neg)
 

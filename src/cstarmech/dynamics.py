@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 from numpy.fft._pocketfft_umath import fft, ifft
 
-from .algebra import AlgebraElement, _as_matrix, _not_selfadjoint
+from .algebra import AlgebraElement, _as_matrix, _hermitian_part, _lapack, _not_selfadjoint
 from .errors import (
     DimensionMismatchError,
     EvaluationDomainError,
@@ -56,7 +55,11 @@ class Potential:
     params: dict = field(default_factory=dict)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        v = np.asarray(self.values(x), dtype=float)
+        try:
+            with np.errstate(all="ignore"):  # a non-finite value is refused below
+                v = np.asarray(self.values(x), dtype=float)
+        except OverflowError:  # a Python float power, as omega**2, raises where numpy gives inf
+            v = np.inf
         if not np.all(np.isfinite(v)):
             raise EvaluationDomainError(f"potential {self.name!r} non-finite on grid")
         return v
@@ -121,8 +124,7 @@ class EvolutionConfig:
 def build_hamiltonian(grid: Grid1D, potential: Potential) -> np.ndarray:
     """Dense H = P^2/2 + V(X) on the periodic grid; exactly Hermitian."""
     p = build_momentum(grid)
-    h = p @ p / 2 + np.diag(potential(grid.points)).astype(complex)
-    return (h + h.conj().T) / 2
+    return _hermitian_part(p @ p / 2 + np.diag(potential(grid.points)).astype(complex))
 
 
 @dataclass(frozen=True)
@@ -198,10 +200,7 @@ class _Propagator:
     """exp(-itH) of a Hermitian matrix H from one eigendecomposition."""
 
     def __init__(self, hm: np.ndarray):
-        try:
-            self.evals, self.evecs = np.linalg.eigh(hm)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+        self.evals, self.evecs = _lapack("eigh", hm)
 
     def state(self, v: np.ndarray, t: float) -> np.ndarray:
         """exp(-itH) v by phases in the eigenbasis; no dense unitary."""
@@ -214,14 +213,12 @@ class _Propagator:
 
 
 def _hermitian(h) -> np.ndarray:
-    """(h + h*)/2 of a finite square matrix h that is self-adjoint within
-    1e-10 of its norm, by algebra's self-adjointness gate; anything else,
-    an h - h* that overflows included, is an InvalidInputError."""
+    """The Hermitian part of a finite square h that algebra's gate finds
+    self-adjoint within 1e-10 of its norm; anything else is an InvalidInputError."""
     hm = _as_matrix(h)
     if _not_selfadjoint(hm[None], hm.conj().T[None], 1e-10)[0]:
         raise InvalidInputError("Hamiltonian must be self-adjoint")
-    # halves first: h + h* can overflow where h / 2 + h* / 2 cannot
-    return hm / 2 + hm.conj().T / 2
+    return _hermitian_part(hm)
 
 
 def evolve_schrodinger(psi0: WaveFunction, cfg: EvolutionConfig) -> WaveFunction:
@@ -305,11 +302,7 @@ def eigen_spectrum(h: np.ndarray, k: int) -> np.ndarray:
     m = _hermitian(h)
     if k < 1 or k > m.shape[0]:
         raise InvalidInputError(f"k must be in 1..{m.shape[0]}")
-    try:
-        evals = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
-    return evals[:k]
+    return _lapack("eigvalsh", m)[:k]
 
 
 @dataclass(frozen=True)
@@ -320,8 +313,8 @@ class RadialGrid:
     M: int
 
     def __post_init__(self):
-        if self.r_max <= 0:
-            raise InvalidInputError("r_max must be positive")
+        if not 0 < self.r_max < np.inf:
+            raise InvalidInputError(f"r_max must be positive and finite, got {self.r_max}")
         if self.M < 16:
             raise InvalidInputError("need at least 16 radial points")
 
@@ -346,14 +339,13 @@ def radial_hydrogen_spectrum(
         raise InvalidInputError(f"k must be in 1..{grid.M}")
     r = grid.points
     dr = grid.dr
+    # dr * dr overflows to inf where dr**2 raises; out of this range 1/dr^2 is 0 or inf
+    if not np.finfo(float).tiny <= dr * dr < np.inf:
+        raise InvalidInputError(f"three-point operator out of float range: dr = {dr}")
     diag = 1.0 / dr**2 - 1.0 / r
     off = np.full(grid.M - 1, -0.5 / dr**2)
-    try:
-        return scipy.linalg.eigh_tridiagonal(
-            diag, off, eigvals_only=not return_vectors, select="i", select_range=(0, k - 1)
-        )
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise NumericalError(f"radial eigensolver failed: {exc}") from exc
+    return _lapack("eigh_tridiagonal", diag, off, eigvals_only=not return_vectors,
+                   select="i", select_range=(0, k - 1))
 
 
 @dataclass(frozen=True)

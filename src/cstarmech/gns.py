@@ -25,6 +25,8 @@ import numpy as np
 from .algebra import (
     AlgebraBasis,
     AlgebraElement,
+    _hermitian_part,
+    _lapack,
     _not_selfadjoint,
     _operator_norms,
     _orthonormal_rows,
@@ -100,7 +102,7 @@ class AbstractState:
         """
         mats = self.basis.matrices()
         e = np.einsum("k,kab->ab", self.values.conj(), mats)
-        evals, evecs = np.linalg.eigh((e + e.conj().T) / 2)
+        evals, evecs = _lapack("eigh", _hermitian_part(e))
         top = evals[-1]
         support = evals > tol * top
         if np.any(top - evals[support] > tol * top):
@@ -158,9 +160,7 @@ def gns_construct(omega: AbstractState, rank_tol: float = 1e-10) -> GnsResult:
     if _not_selfadjoint(g[None], g.conj().T[None], 1e-10)[0]:
         skew = operator_norm(g - g.conj().T)
         raise InvalidStateError(f"Gram matrix not Hermitian (error {skew:.2e})")
-    g = (g + g.conj().T) / 2
-
-    evals, evecs = np.linalg.eigh(g)
+    evals, evecs = _lapack("eigh", _hermitian_part(g))
     scale = max(evals.max(), 0.0)
     threshold = max(rank_tol * scale, 1e-14)
     if evals.min() < -threshold:
@@ -210,7 +210,7 @@ def _null_space(stack: np.ndarray, tol: float) -> np.ndarray:
     # full right singular basis is only needed when the stack is wide
     full = stack.shape[0] < stack.shape[1]
     if not full:
-        stack = np.linalg.qr(stack, mode="r")
+        stack = _lapack("qr", stack, mode="r")
     _, s, vh = _svd(stack, full_matrices=full)
     scale = max(s[0] if s.size else 0.0, 1.0)
     null_mask = np.concatenate([s <= tol * scale, np.ones(vh.shape[0] - s.size, bool)])
@@ -252,7 +252,7 @@ def _restriction(left, right, flag):
     rng = np.random.default_rng(0)
     c = (rng.standard_normal(len(flag)) + 1j * rng.standard_normal(len(flag))) * flag
     x = np.stack([np.tensordot(c, m, axes=1) for m in (left, right)])
-    evals, z = np.linalg.eigh(x + x.conj().transpose(0, 2, 1))
+    evals, z = _lapack("eigh", x + x.conj().transpose(0, 2, 1))
     labels = np.empty(evals.size, dtype=int)
     for k, members in enumerate(_clusters(evals.ravel(), 1e-8)):
         labels[members] = k
@@ -320,7 +320,7 @@ def find_intertwiner(rep1, rep2, tol: float = 1e-8, map_vector=None):
 
     if map_vector is not None:
         v_from, v_to = (np.asarray(v, dtype=complex).ravel() for v in map_vector)
-        coef, *_ = np.linalg.lstsq((null @ v_from).T, v_to, rcond=None)
+        coef, *_ = _lapack("lstsq", (null @ v_from).T, v_to, rcond=None)
         candidates = [np.tensordot(coef, null, axes=1)]
     else:
         candidates = list(null)

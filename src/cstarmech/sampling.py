@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _hermitian_part, _lapack
 from .states import DensityState
 
 __all__ = [
@@ -37,17 +37,12 @@ def _densities(g: np.ndarray) -> np.ndarray:
     return b / np.trace(b, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _selfadjoints(h: np.ndarray) -> np.ndarray:
-    """(h + h*)/2 for each matrix of a (..., n, n) stack."""
-    return (h + h.conj().swapaxes(-1, -2)) / 2
-
-
 def random_element(rng: np.random.Generator, n: int) -> AlgebraElement:
     return AlgebraElement(_ginibre(rng, n))
 
 
 def selfadjoint_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    return _selfadjoints(_ginibre(rng, n))
+    return _hermitian_part(_ginibre(rng, n))
 
 
 def random_selfadjoint(rng: np.random.Generator, n: int) -> AlgebraElement:
@@ -55,7 +50,7 @@ def random_selfadjoint(rng: np.random.Generator, n: int) -> AlgebraElement:
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(_ginibre(rng, n))
+    q, r = _lapack("qr", _ginibre(rng, n))
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
@@ -93,7 +88,7 @@ def _uncertainty_draws(seed: int, n: int, draws: range, commuting: bool):
         rng = np.random.default_rng([seed, i])
         rng.standard_normal(out=xi[:2] if commuting and i == 0 else xi)
     g = x[:, :, 0] + 1j * x[:, :, 1]
-    a = _selfadjoints(g[:, 1:])
+    a = _hermitian_part(g[:, 1:])
     a1, a2 = a[:, 0], a[:, 1]
     if commuting and 0 in draws:
         k = draws.index(0)

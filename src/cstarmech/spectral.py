@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .algebra import AlgebraElement, _exceeds, classify
+from .algebra import AlgebraElement, _exceeds, _hermitian_part, _lapack, classify
 from .errors import EvaluationDomainError, InvalidInputError, NumericalError
 from .states import DensityState, _check_dims
 
@@ -49,13 +48,10 @@ def _normal_eigensystem(a: AlgebraElement, tol: float):
     if not flags.normal:
         raise InvalidInputError("element is not normal within tolerance")
     m = a.entries
-    try:
-        if flags.selfadjoint:
-            vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-            return vals.astype(complex), vecs
-        t, z = scipy.linalg.schur(m, output="complex")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    if flags.selfadjoint:
+        vals, vecs = _lapack("eigh", _hermitian_part(m))
+        return vals.astype(complex), vecs
+    t, z = _lapack("schur", m, output="complex")
     # for a normal matrix the Schur form is diagonal up to round-off
     if _exceeds((t - np.diag(np.diag(t)))[None], m[None], max(tol, 1e-9))[0]:
         raise InvalidInputError("element is not normal within tolerance")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, _exceeds, _not_selfadjoint
+from .algebra import AlgebraElement, _exceeds, _hermitian_part, _lapack, _not_selfadjoint
 from .errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -78,14 +78,12 @@ def check_densities(b) -> np.ndarray:
     InvalidStateError names the first failing row.
     """
     m = _as_stack(b, InvalidStateError, "density")
-    mh = _adjoints(m)
-    _first_bad(_not_selfadjoint(m, mh, _STATE_TOL), InvalidStateError,
+    _first_bad(_not_selfadjoint(m, _adjoints(m), _STATE_TOL), InvalidStateError,
                "density matrix is not self-adjoint")
     traces = _traces(m)
     _first_bad(np.abs(traces - 1.0) > _STATE_TOL, InvalidStateError,
                "trace must be 1, got {}", traces)
-    # halves first: m + mh can overflow where m / 2 + mh / 2 cannot
-    _first_bad(np.linalg.eigvalsh(m / 2 + mh / 2).min(axis=1) < -_STATE_TOL,
+    _first_bad(_lapack("eigvalsh", _hermitian_part(m)).min(axis=1) < -_STATE_TOL,
                InvalidStateError, "density matrix has a negative eigenvalue")
     return m
 

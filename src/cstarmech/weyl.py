@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _operator_norms
+from .algebra import _hermitian_part, _operator_norms
 from .errors import InvalidInputError
 
 __all__ = [
@@ -160,7 +160,7 @@ def build_momentum(grid: Grid1D) -> np.ndarray:
     k = grid.frequencies
     eye = np.eye(grid.N, dtype=complex)
     p = np.fft.ifft(k[:, None] * np.fft.fft(eye, axis=0), axis=0)
-    return (p + p.conj().T) / 2  # strip round-off asymmetry
+    return _hermitian_part(p)  # strip round-off asymmetry
 
 
 @dataclass(frozen=True)

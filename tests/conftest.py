@@ -24,6 +24,11 @@ def rng():
     return np.random.default_rng(SUITE_SEED)
 
 
+def lapack_fails(*args, **kwargs):
+    """Stands in for a LAPACK kernel that does not converge (INFO > 0)."""
+    raise np.linalg.LinAlgError("did not converge")
+
+
 # Pauli matrices used all over the suite
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -33,10 +33,11 @@ from cstarmech.gns import (
     gns_construct,
 )
 from cstarmech.sampling import random_density, random_element, random_selfadjoint, random_unitary
+from cstarmech.spectral import spectrum
 from cstarmech.states import DensityState, check_densities, from_vector
 from cstarmech.weyl import clock_shift
 
-from conftest import SX, SY, SZ, random_generators
+from conftest import SX, SY, SZ, lapack_fails, random_generators
 
 
 class TestAdjoint:
@@ -121,13 +122,22 @@ class TestClassify:
         with pytest.raises(InvalidInputError, match="tol must be positive"):
             classify(AlgebraElement(np.eye(2)), tol)
 
+    def test_large_entries_are_rescaled_not_refused(self):
+        # m m* overflows here; the exact power-of-two rescale keeps it finite,
+        # and every warning is an error in this suite
+        a = AlgebraElement(np.diag([1e200, 1.0]))
+        assert classify(a) == ElementFlags(True, True, False, True)
+        assert spectrum(a) == [1.0, 1e200]
 
-def classify_reference(m, tol):
+
+def classify_reference(m, tol, unit=1.0):
     """classify's flags from plain SVDs, as it decided them before its rows
-    went through _exceeds; returns them with each row's (error, bound / tol)."""
+    went through _exceeds; returns them with each row's (error, bound / tol).
+    The unitary row is m m* - unit 1."""
     mh = m.conj().T
     norm, sa_err, nrm_err, uni_err = np.linalg.svd(
-        np.stack([m, m - mh, m @ mh - mh @ m, m @ mh - np.eye(len(m))]), compute_uv=False)[:, 0]
+        np.stack([m, m - mh, m @ mh - mh @ m, m @ mh - unit * np.eye(len(m))]),
+        compute_uv=False)[:, 0]
     scale = max(norm, 1.0)
     below = max(-np.linalg.eigvalsh((m + mh) / 2).min(), 0.0)
     sa = bool(sa_err <= tol * scale)
@@ -179,6 +189,27 @@ class TestClassifyVerdicts:
             on = row in ("selfadjoint", "positive") or size < 1.0
             for tol in [err / bound * (1 + sign * rel)] + [err / bound] * on:
                 assert classify(AlgebraElement(m), tol) == classify_reference(m, tol)[0], row
+
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), exponent=st.integers(500, 1000),
+           eps=st.sampled_from([1e-9, 1e-5, 1e-2]), rel=st.floats(1e-12, 1e-3),
+           sign=st.sampled_from([-1, 1]))
+    def test_large_elements_match_their_rescaled_copy(self, n, seed, exponent, eps, rel, sign):
+        # m = 2^exponent m1, m1's largest entry in [1, 2), is decided as the
+        # formulas decide m1 with m1 m1* - 2^(-2 exponent) 1 as the unitary row;
+        # ||m1|| >= 1, so only the selfadjoint and positive rows are put
+        # exactly on the bound
+        rng = np.random.default_rng(seed)
+        unit = 2.0 ** (-2 * exponent)
+        for row in ("selfadjoint", "normal", "unitary", "positive"):
+            m1 = near_row(rng, n, row, eps)
+            m1 = m1 * 2.0 ** (1 - np.frexp(np.abs(m1).max())[1])
+            err, bound = classify_reference(m1, 1.0, unit)[1][row]
+            if err == 0.0:
+                continue
+            on = row in ("selfadjoint", "positive")
+            for tol in [err / bound * (1 + sign * rel)] + [err / bound] * on:
+                want = classify_reference(m1, tol, unit)[0]
+                assert classify(AlgebraElement(m1 * 2.0**exponent), tol) == want, row
 
 
 class TestGenerateAlgebra:
@@ -371,6 +402,27 @@ class TestNormKernel:
             used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             assert not used & {"_operator_norms", "operator_norm"}, name
 
+    def test_factorizations_only_in_algebra(self):
+        # every dense factorization goes through algebra's gateway, _lapack or
+        # _svd, so no module but algebra sees a LinAlgError
+        lapack = {"cholesky", "eig", "eigh", "eigh_tridiagonal", "eigvals", "eigvalsh",
+                  "eigvalsh_tridiagonal", "inv", "lstsq", "lu", "pinv", "qr", "schur", "solve",
+                  "svd", "svdvals", "LinAlgError"}
+        found = []
+        for path in sorted(Path(cstarmech.__file__).parent.glob("*.py")):
+            if path.name == "algebra.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+                    names = {alias.name for alias in node.names}
+                elif isinstance(node, ast.Attribute) and ast.unparse(node.value).endswith("linalg"):
+                    names = {node.attr}
+                else:
+                    continue
+                if names & lapack:
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
     def test_private_fft_only_in_dynamics(self):
         # the Strang stepper calls numpy's private pocketfft gufuncs; one
         # import in one module holds that dependency
@@ -469,8 +521,25 @@ def gesdd_fails(monkeypatch):
     return failed
 
 
+class TestLapackGateway:
+    """algebra._lapack turns a failed factorization into a NumericalError
+    that names the kernel."""
+
+    @pytest.mark.parametrize("lib, kernel, call", [
+        (scipy.linalg, "schur", lambda: spectrum(AlgebraElement(clock_shift(3).U))),
+        (np.linalg, "lstsq", lambda: find_intertwiner([SX, SZ], [SX, SZ],
+                                                       map_vector=([1, 0], [1, 0]))),
+        (np.linalg, "qr", lambda: random_unitary(np.random.default_rng(0), 3)),
+    ], ids=["schur", "lstsq", "qr"])
+    def test_failure_names_the_kernel(self, monkeypatch, lib, kernel, call):
+        monkeypatch.setattr(lib, kernel, lapack_fails)
+        with pytest.raises(NumericalError, match=f"^LAPACK {kernel} failed: did not converge$"):
+            call()
+
+
 class TestSvdFallback:
-    """Every SVD site returns LAPACK gesvd's result when gesdd fails."""
+    """Every SVD site returns LAPACK gesvd's result when gesdd fails, and
+    raises NumericalError when gesvd fails too."""
 
     def test_operator_norm(self, gesdd_fails, rng):
         m = random_element(rng, 6).entries
@@ -499,6 +568,18 @@ class TestSvdFallback:
         b[1, 0] -= 4e-13
         with pytest.raises(NumericalError):
             check_densities(b[None])
+
+    def test_gesvd_failure_is_numerical_error(self, gesdd_fails, monkeypatch, rng):
+        stack = np.vstack([np.kron(np.eye(3), a) - np.kron(a.T, np.eye(3))
+                           for a in (np.diag([1.0, 1.0, 2.0]), np.eye(3))])
+        basis = generate_algebra([AlgebraElement(SX), AlgebraElement(SY)])
+        state = AbstractState.from_density(basis, from_vector([1.0, 0.0]))
+        rep = [random_selfadjoint(rng, 3).entries for _ in range(2)]
+        monkeypatch.setattr(scipy.linalg, "svd", lapack_fails)
+        for call in (lambda: _orthonormal_rows(stack, 1e-10), lambda: _null_space(stack, 1e-10),
+                     state.is_pure, lambda: find_intertwiner(rep, rep)):
+            with pytest.raises(NumericalError, match="^LAPACK svd failed: did not converge$"):
+                call()
 
     def test_orthonormal_rows(self, gesdd_fails, rng):
         rows = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 9))  # rank 3

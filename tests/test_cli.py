@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cstarmech import cli
 from cstarmech.classical import HARMONIC, PhasePoint, bracket_table, hamilton_flow
@@ -18,7 +19,7 @@ from cstarmech.sampling import density_matrix, random_density, random_selfadjoin
 from cstarmech.serialization import dump_json, matrix_to_json, trajectory_to_csv
 from cstarmech.states import uncertainty_check
 
-from conftest import CLI_CONFIGS, SUITE_SEED, SX, SY, SZ
+from conftest import CLI_CONFIGS, SUITE_SEED, SX, SY, SZ, lapack_fails
 
 
 def write_cfg(tmp_path, cfg, name="config.json"):
@@ -493,6 +494,10 @@ STRANG_OVERFLOW = {"grid": {"N": 64, "L": 20.0},
                    "potential": {"name": "quartic", "params": {"a": 1e300}},
                    "dt": 1e5, "t_final": 1e5}
 
+RADIAL = {"kind": "radial", "r_max": 40.0, "M": 64, "k": 2}
+# omega**2 overflows a Python float
+HARMONIC_OVERFLOW = {"name": "harmonic", "params": {"omega": 1e200}}
+
 
 class TestRunRecord:
     """Each subcommand returns its outputs and checks; main writes them."""
@@ -530,6 +535,12 @@ class TestRunRecord:
         ("evolve", dict(CLI_CONFIGS["evolve"], grid={"N": 128, "L": float("inf")})),
         ("weyl", {"n": 4, "grid": {"N": 32, "L": float("inf")}}),
         ("evolve", STRANG_OVERFLOW),
+        ("spectrum", dict(RADIAL, r_max=float("nan"))),
+        ("spectrum", dict(RADIAL, r_max=float("inf"))),
+        ("spectrum", dict(RADIAL, r_max=1e300)),
+        ("spectrum", dict(RADIAL, r_max=1e-300)),
+        ("spectrum", dict(CLI_CONFIGS["spectrum"], potential=HARMONIC_OVERFLOW)),
+        ("evolve", dict(CLI_CONFIGS["evolve"], potential=HARMONIC_OVERFLOW)),
     ])
     @pytest.mark.filterwarnings("error")
     def test_failed_run_leaves_only_the_manifest(self, tmp_path, capsys, command, cfg):
@@ -551,6 +562,32 @@ class TestRunRecord:
             called = {getattr(n.func, "id", getattr(n.func, "attr", None))
                       for n in ast.walk(f) if isinstance(n, ast.Call)}
             assert not called & {"open", "write_text", "dump_json", "mkdir"}, f.name
+
+
+class TestLapackFailure:
+    """A LAPACK failure in any kernel a subcommand reaches is exit 3 with
+    only the manifest, whose error names the kernel."""
+
+    @pytest.mark.parametrize("entries, command, cfg", [
+        ([(np.linalg, "eigvalsh")], "uncertainty", CLI_CONFIGS["uncertainty"]),
+        ([(np.linalg, "eigvalsh")], "spectrum", CLI_CONFIGS["spectrum"]),
+        ([(np.linalg, "eigh")], "gns", CLI_CONFIGS["gns"]),
+        ([(np.linalg, "qr")], "gns", CLI_CONFIGS["gns"]),
+        # gesdd, then its gesvd retry
+        ([(np.linalg, "svd"), (scipy.linalg, "svd")], "gns", CLI_CONFIGS["gns"]),
+        ([(scipy.linalg, "eigh_tridiagonal")], "spectrum", RADIAL),
+    ], ids=["eigvalsh-uncertainty", "eigvalsh-spectrum", "eigh-gns", "qr-gns", "svd-gns",
+            "eigh_tridiagonal-spectrum"])
+    def test_exit_3_names_the_kernel(self, tmp_path, monkeypatch, capsys, entries, command, cfg):
+        for lib, name in entries:
+            monkeypatch.setattr(lib, name, lapack_fails)
+        code, out = run(tmp_path, command, cfg)
+        manifest = read_manifest(out)
+        message = f"LAPACK {entries[0][1]} failed: did not converge"
+        assert code == manifest["exit_code"] == 3
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert manifest["error"] == {"class": "NumericalError", "message": message}
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
 
 def rank2_gns_cfg(rng):
