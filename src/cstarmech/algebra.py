@@ -29,13 +29,35 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 
 
-def _as_matrix(entries) -> np.ndarray:
-    m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError("matrix entries must be finite")
-    return m
+def _first_bad(bad: np.ndarray, error, what: str, values=None):
+    """Raise ``error`` naming the first row that ``bad`` flags; ``what`` is
+    formatted with that row's entry of ``values``, if given."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        msg = what if values is None else what.format(values[k])
+        raise error(f"row {k}: {msg}" if bad.size > 1 else msg)
+
+
+def _require_finite(m: np.ndarray, error, what: str = "matrix"):
+    _first_bad(~np.isfinite(m).all(axis=(1, 2)), error, f"{what} entries must be finite")
+
+
+def _as_stack(m, error=InvalidInputError, what: str = "") -> np.ndarray:
+    """The one admission gate for matrix input: a non-empty (S, n, n) stack of
+    finite complex matrices with n >= 1. Anything else is ``error``: ragged or
+    non-numeric input, a shape refusal naming the count and the shape of the
+    members, or the first row with a non-finite entry. One matrix m enters as
+    the batch of one [m], which the gate copies, and a refusal names the
+    shape m had."""
+    try:
+        a = np.array(m, dtype=complex, ndmin=1, copy=None)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what}matrix input is ragged or not numeric: {exc}") from exc
+    if a.ndim != 3 or a.size == 0 or a.shape[1] != a.shape[2]:
+        raise error(f"expected square {what}matrices of size n >= 1, "
+                    f"got {len(a)} of shape {a.shape[1:]}")
+    _require_finite(a, error, f"{what}matrix")
+    return a
 
 
 @dataclass(frozen=True)
@@ -48,7 +70,7 @@ class AlgebraElement:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _as_matrix(self.entries))
+        object.__setattr__(self, "entries", _as_stack([self.entries])[0])
         self.entries.setflags(write=False)
 
     @property
@@ -171,11 +193,11 @@ def _exceeds(d: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
-def _not_selfadjoint(m: np.ndarray, mh: np.ndarray, tol: float) -> np.ndarray:
-    """The one self-adjointness gate: flags each row of a (S, n, n) stack m,
-    adjoints mh, whose m - m* overflows or _exceeds tol max(||m||, 1)."""
+def _not_selfadjoint(m: np.ndarray, tol: float) -> np.ndarray:
+    """The one self-adjointness gate: flags each row of a (S, n, n) stack m
+    whose m - m* overflows or _exceeds tol max(||m||, 1)."""
     with np.errstate(over="ignore"):
-        d = m - mh
+        d = m - m.conj().swapaxes(-1, -2)
     overflow = ~np.isfinite(d).all(axis=(1, 2))
     d[overflow] = 0
     return overflow | _exceeds(d, m, tol)
@@ -183,8 +205,8 @@ def _not_selfadjoint(m: np.ndarray, mh: np.ndarray, tol: float) -> np.ndarray:
 
 def operator_norm(a) -> float:
     """Largest singular value of the matrix (the C* norm)."""
-    m = a.entries if isinstance(a, AlgebraElement) else _as_matrix(a)
-    return float(_operator_norms(m[None])[0])
+    m = a.entries[None] if isinstance(a, AlgebraElement) else _as_stack([a])
+    return float(_operator_norms(m)[0])
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -213,12 +235,12 @@ def classify(a: AlgebraElement, tol: float = DEFAULT_TOL) -> ElementFlags:
     m = a.entries
     s = int(np.frexp(np.abs(m).max())[1]) - 1  # the largest entry lies in [2^s, 2^(s+1))
     m, s = (m * 2.0**-s, s) if s >= 500 else (m, 0)
-    mh = m.conj().T
-    sa = not _not_selfadjoint(m[None], mh[None], tol)[0]
+    sa = not _not_selfadjoint(m[None], tol)[0]
     # ||m m*|| = ||m||^2 scales the normal and unitary rows; the positive row
     # is the part of the Hermitian part's spectrum below zero
     below = np.zeros_like(m)
     below[0, 0] = max(-_lapack("eigvalsh", _hermitian_part(m))[0], 0.0)
+    mh = m.conj().T
     mm = m @ mh
     nrm, uni, neg = _exceeds(np.stack([mm - mh @ m, mm - np.eye(a.dim) * 2.0**(-2 * s), below]),
                              np.stack([mm, mm, m]), tol)

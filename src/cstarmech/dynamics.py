@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.fft._pocketfft_umath import fft, ifft
 
-from .algebra import AlgebraElement, _as_matrix, _hermitian_part, _lapack, _not_selfadjoint
+from .algebra import AlgebraElement, _as_stack, _hermitian_part, _lapack, _not_selfadjoint
 from .errors import (
     DimensionMismatchError,
     EvaluationDomainError,
@@ -55,13 +55,17 @@ class Potential:
     params: dict = field(default_factory=dict)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self._evaluate(self.values, x, "potential")
+
+    def _evaluate(self, f, x: np.ndarray, what: str) -> np.ndarray:
+        """f(x) as floats; a non-finite value is an EvaluationDomainError, with no warning."""
         try:
             with np.errstate(all="ignore"):  # a non-finite value is refused below
-                v = np.asarray(self.values(x), dtype=float)
+                v = np.asarray(f(x), dtype=float)
         except OverflowError:  # a Python float power, as omega**2, raises where numpy gives inf
             v = np.inf
         if not np.all(np.isfinite(v)):
-            raise EvaluationDomainError(f"potential {self.name!r} non-finite on grid")
+            raise EvaluationDomainError(f"{what} {self.name!r} non-finite on grid")
         return v
 
 
@@ -215,10 +219,10 @@ class _Propagator:
 def _hermitian(h) -> np.ndarray:
     """The Hermitian part of a finite square h that algebra's gate finds
     self-adjoint within 1e-10 of its norm; anything else is an InvalidInputError."""
-    hm = _as_matrix(h)
-    if _not_selfadjoint(hm[None], hm.conj().T[None], 1e-10)[0]:
+    hm = _as_stack([h])
+    if _not_selfadjoint(hm, 1e-10)[0]:
         raise InvalidInputError("Hamiltonian must be self-adjoint")
-    return _hermitian_part(hm)
+    return _hermitian_part(hm[0])
 
 
 def evolve_schrodinger(psi0: WaveFunction, cfg: EvolutionConfig) -> WaveFunction:
@@ -367,7 +371,7 @@ def ehrenfest_check(psi0: WaveFunction, cfg: EvolutionConfig) -> EhrenfestReport
     if cfg.steps < 3:
         raise InvalidInputError("need at least 3 steps")
     x = psi0.grid.points
-    vprime = np.asarray(cfg.potential.derivative(x), dtype=float)
+    vprime = cfg.potential._evaluate(cfg.potential.derivative, x, "derivative of potential")
     _, nrm2, (x_sum, vp_sum), (p_sum,) = _strang_sums(
         psi0, cfg, (x, vprime), (psi0.grid.frequencies,))
     x_mean, p_mean, vp_means = x_sum / nrm2, p_sum / nrm2, vp_sum / nrm2

@@ -25,6 +25,7 @@ import numpy as np
 from .algebra import (
     AlgebraBasis,
     AlgebraElement,
+    _as_stack,
     _hermitian_part,
     _lapack,
     _not_selfadjoint,
@@ -146,23 +147,24 @@ class GnsResult:
         return sum(c * r for c, r in zip(coeffs, self.rep))
 
 
-def gns_construct(omega: AbstractState, rank_tol: float = 1e-10) -> GnsResult:
+def gns_construct(omega: AbstractState) -> GnsResult:
     """Run the GNS construction for a state on a closed algebra basis.
 
     The Hilbert space is the range of the Gram matrix above the rank
-    threshold; left multiplication descends to the quotient and the class
-    of the identity is the cyclic vector. The Gram matrix must be Hermitian
-    within 1e-10 max(||G||, 1), by algebra's self-adjointness gate.
+    threshold max(1e-10 lambda_max, 1e-14); left multiplication descends to
+    the quotient and the class of the identity is the cyclic vector. The
+    Gram matrix must be Hermitian within 1e-10 max(||G||, 1), by algebra's
+    self-adjointness gate.
     """
     basis = omega.basis
     struct = structure_tensor(basis, basis.tol)
     g = omega.gram(struct)
-    if _not_selfadjoint(g[None], g.conj().T[None], 1e-10)[0]:
+    if _not_selfadjoint(g[None], 1e-10)[0]:
         skew = operator_norm(g - g.conj().T)
         raise InvalidStateError(f"Gram matrix not Hermitian (error {skew:.2e})")
     evals, evecs = _lapack("eigh", _hermitian_part(g))
     scale = max(evals.max(), 0.0)
-    threshold = max(rank_tol * scale, 1e-14)
+    threshold = max(1e-10 * scale, 1e-14)
     if evals.min() < -threshold:
         raise InvalidStateError(
             f"state is not positive: Gram eigenvalue {evals.min():.2e}"
@@ -260,20 +262,6 @@ def _restriction(left, right, flag):
     return z, np.nonzero(lab_r[:, None] == lab_l[None, :])
 
 
-def _rep_stack(rep) -> np.ndarray:
-    """Representation matrices as one (k, h, h) complex stack; matrices of
-    different or non-square shapes, or with a non-finite entry, are an
-    InvalidInputError."""
-    mats = [np.asarray(r, dtype=complex) for r in rep]
-    h = mats[0].shape[0]
-    if any(m.shape != (h, h) for m in mats):
-        raise InvalidInputError("representation matrices must share one shape")
-    mats = np.stack(mats)
-    if not np.isfinite(mats).all():
-        raise InvalidInputError("matrix entries must be finite")
-    return mats
-
-
 def commutant(rep, tol: float = 1e-10) -> list[np.ndarray]:
     """Frobenius-orthonormal basis of {M : M rho_j = rho_j M for all j}.
 
@@ -282,7 +270,7 @@ def commutant(rep, tol: float = 1e-10) -> list[np.ndarray]:
     member also commutes with: the normal ones (Fuglede's theorem) and
     those whose adjoint lies in the span of the rep.
     """
-    mats = _rep_stack(rep)
+    mats = _as_stack(rep)
     adj = mats.conj().transpose(0, 2, 1)
     fro = np.maximum(np.linalg.norm(mats, axis=(1, 2)), 1.0)
     dev = np.linalg.norm(mats @ adj - adj @ mats, axis=(1, 2))
@@ -310,7 +298,7 @@ def find_intertwiner(rep1, rep2, tol: float = 1e-8, map_vector=None):
     sense (the uniqueness clause for cyclic vectors). A candidate's unitary
     polar factor is returned once it intertwines and maps v_from to v_to.
     """
-    m1, m2 = _rep_stack(rep1), _rep_stack(rep2)
+    m1, m2 = _as_stack(rep1), _as_stack(rep2)
     if len(m1) != len(m2):
         raise InvalidInputError("representations must share the basis indexing")
     if m1.shape[1] != m2.shape[1]:

@@ -11,7 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, _exceeds, _hermitian_part, _lapack, _not_selfadjoint
+from .algebra import (
+    AlgebraElement,
+    _as_stack,
+    _exceeds,
+    _first_bad,
+    _hermitian_part,
+    _lapack,
+    _not_selfadjoint,
+    _require_finite,
+)
 from .errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -38,32 +47,6 @@ _STATE_TOL = 1e-12
 _OBSERVABLE_TOL = 1e-10
 
 
-def _first_bad(bad: np.ndarray, error, what: str, values=None):
-    """Raise ``error`` naming the first row that ``bad`` flags; ``what`` is
-    formatted with that row's entry of ``values``, if given."""
-    if bad.any():
-        k = int(np.argmax(bad))
-        msg = what if values is None else what.format(values[k])
-        raise error(f"row {k}: {msg}" if bad.size > 1 else msg)
-
-
-def _require_finite(m: np.ndarray, error, what: str = "matrix"):
-    _first_bad(~np.isfinite(m).all(axis=(1, 2)), error, f"{what} entries must be finite")
-
-
-def _as_stack(m, error, what: str) -> np.ndarray:
-    """A (S, n, n) stack of finite complex matrices."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 3 or m.shape[1] != m.shape[2]:
-        raise error(f"expected a stack of square {what} matrices, got shape {m.shape}")
-    _require_finite(m, error, f"{what} matrix")
-    return m
-
-
-def _adjoints(m: np.ndarray) -> np.ndarray:
-    return m.conj().transpose(0, 2, 1)
-
-
 def _traces(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=1, axis2=2)
 
@@ -77,8 +60,8 @@ def check_densities(b) -> np.ndarray:
     Frobenius bounds leave open, the eigenvalues one batched call; an
     InvalidStateError names the first failing row.
     """
-    m = _as_stack(b, InvalidStateError, "density")
-    _first_bad(_not_selfadjoint(m, _adjoints(m), _STATE_TOL), InvalidStateError,
+    m = _as_stack(b, InvalidStateError, "density ")
+    _first_bad(_not_selfadjoint(m, _STATE_TOL), InvalidStateError,
                "density matrix is not self-adjoint")
     traces = _traces(m)
     _first_bad(np.abs(traces - 1.0) > _STATE_TOL, InvalidStateError,
@@ -95,8 +78,8 @@ def check_observables(a) -> np.ndarray:
     within 1e-10 max(||A||, 1) (else NonObservableError), decided as in
     check_densities; the error names the first failing row.
     """
-    m = _as_stack(a, InvalidInputError, "observable")
-    _first_bad(_not_selfadjoint(m, _adjoints(m), _OBSERVABLE_TOL), NonObservableError,
+    m = _as_stack(a, InvalidInputError, "observable ")
+    _first_bad(_not_selfadjoint(m, _OBSERVABLE_TOL), NonObservableError,
                "observable must be self-adjoint")
     return m
 
@@ -108,10 +91,7 @@ class DensityState:
     b: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.b, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidStateError(f"density matrix must be square, got {m.shape}")
-        check_densities(m[None])
+        m = check_densities([self.b])[0]  # a fresh copy: the caller's array stays writeable
         object.__setattr__(self, "b", m)
         m.setflags(write=False)
 
@@ -143,9 +123,7 @@ def from_vector(psi) -> DensityState:
         raise InvalidInputError("cannot build a state from the zero vector")
     if abs(nrm - 1.0) > 1e-10:
         warnings.warn(f"state vector norm {nrm:.3e} != 1; normalizing", stacklevel=2)
-        v = v / nrm
-    else:
-        v = v / nrm  # exact unit trace
+    v = v / nrm  # also for a unit vector: exact unit trace
     return DensityState(np.outer(v, v.conj()))
 
 

@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from cstarmech.algebra import (
     is_commutative,
     operator_norm,
 )
+from cstarmech.dynamics import eigen_spectrum
 from cstarmech.errors import DimensionMismatchError, InvalidInputError, NumericalError
 from cstarmech.gns import (
     AbstractState,
@@ -31,10 +33,17 @@ from cstarmech.gns import (
     commutant,
     find_intertwiner,
     gns_construct,
+    is_irreducible,
 )
 from cstarmech.sampling import random_density, random_element, random_selfadjoint, random_unitary
 from cstarmech.spectral import spectrum
-from cstarmech.states import DensityState, check_densities, from_vector
+from cstarmech.states import (
+    DensityState,
+    check_densities,
+    check_observables,
+    from_vector,
+    uncertainty_bounds,
+)
 from cstarmech.weyl import clock_shift
 
 from conftest import SX, SY, SZ, lapack_fails, random_generators
@@ -636,3 +645,86 @@ class TestSvdFallback:
         ref = commutant(rep)
         assert len(got) == 1
         np.testing.assert_array_equal(got, ref)
+
+
+# every public entry point that takes matrix input: one matrix, or a stack
+MATRIX_CALLERS = {
+    "AlgebraElement": AlgebraElement,
+    "operator_norm": operator_norm,
+    "DensityState": DensityState,
+    "eigen_spectrum": lambda m: eigen_spectrum(m, 1),
+}
+STACK_CALLERS = {
+    "check_densities": check_densities,
+    "check_observables": check_observables,
+    "uncertainty_bounds": lambda s: uncertainty_bounds(s, s, s),
+    "commutant": commutant,
+    "is_irreducible": is_irreducible,
+    "find_intertwiner": lambda s: find_intertwiner(s, s),
+}
+BAD_MATRICES = {
+    "0x0": np.zeros((0, 0)),
+    "non-square": np.ones((2, 3)),
+    "non-numeric": [[1.0, "x"], [0.0, 1.0]],
+    "nan": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+}
+EMPTY = {"empty": [], "empty stack": np.zeros((0, 2, 2))}
+BAD_INPUTS = [pytest.param(call, m, id=f"{name}-{case}")
+              for name, call in MATRIX_CALLERS.items()
+              for case, m in {**BAD_MATRICES, **EMPTY}.items()]
+BAD_INPUTS += [pytest.param(call, s, id=f"{name}-{case}")
+               for name, call in STACK_CALLERS.items()
+               for case, s in {**{k: [m] for k, m in BAD_MATRICES.items()}, **EMPTY}.items()]
+
+
+class TestAdmissionGate:
+    @pytest.mark.parametrize("call, bad", BAD_INPUTS)
+    def test_refusal_is_an_input_error(self, call, bad):
+        with warnings.catch_warnings(), pytest.raises(InvalidInputError):
+            warnings.simplefilter("error")
+            call(bad)
+
+    def test_scalar_refusal_names_the_shape_passed(self):
+        with pytest.raises(InvalidInputError, match=r"got 1 of shape \(2, 3\)$"):
+            AlgebraElement(np.ones((2, 3)))
+        with pytest.raises(InvalidInputError, match=r"got 0 of shape \(2, 2\)$"):
+            check_densities(np.zeros((0, 2, 2)))
+
+    def test_caller_array_stays_writeable(self):
+        a, b = np.array(SX), np.eye(2, dtype=complex) / 2
+        elem, state = AlgebraElement(a), DensityState(b)
+        assert a.flags.writeable and b.flags.writeable
+        assert not (elem.entries.flags.writeable or state.b.flags.writeable)
+        a[0, 0], b[0, 0] = 7.0, 7.0
+        np.testing.assert_array_equal(elem.entries, SX)
+        np.testing.assert_array_equal(state.b, np.eye(2) / 2)
+
+    def test_admission_only_in_algebra(self):
+        # every matrix input passes algebra's one gate, _as_stack: no other
+        # module compares two axes of one shape (or a shape with (h, h)),
+        # reduces isfinite over the axes of a stack, or raises a message
+        # about square matrices
+        found = []
+        for path in sorted(Path(cstarmech.__file__).parent.glob("*.py")):
+            if path.name == "algebra.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Compare) and all(
+                        isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+                    sides = [node.left, *node.comparators]
+                    axes = [ast.unparse(x.value) for x in sides if isinstance(x, ast.Subscript)
+                            and isinstance(x.value, ast.Attribute) and x.value.attr == "shape"]
+                    pairs = [x for x in sides if isinstance(x, ast.Tuple) and len(x.elts) == 2
+                             and ast.unparse(x.elts[0]) == ast.unparse(x.elts[1])]
+                    shapes = [x for x in sides if isinstance(x, ast.Attribute) and x.attr == "shape"]
+                    hit = len(axes) > len(set(axes)) or bool(pairs and shapes)
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    hit = (node.func.attr == "all" and "isfinite" in ast.unparse(node.func.value)
+                           and any(kw.arg == "axis" for kw in node.keywords))
+                elif isinstance(node, ast.Raise):
+                    hit = "square" in ast.unparse(node).lower()
+                else:
+                    continue
+                if hit:
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []

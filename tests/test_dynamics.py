@@ -1,3 +1,4 @@
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -21,7 +22,12 @@ from cstarmech.dynamics import (
     radial_hydrogen_spectrum,
     run_trajectory,
 )
-from cstarmech.errors import DimensionMismatchError, InvalidInputError, NumericalError
+from cstarmech.errors import (
+    DimensionMismatchError,
+    EvaluationDomainError,
+    InvalidInputError,
+    NumericalError,
+)
 from cstarmech.sampling import random_selfadjoint
 from cstarmech.weyl import Grid1D, WaveFunction
 
@@ -338,6 +344,15 @@ class TestEhrenfest:
         psi0 = WaveFunction.gaussian(GRID)
         with pytest.raises(InvalidInputError):
             ehrenfest_check(psi0, cfg("well", dt=1e-3, t_final=0.1))
+
+    @pytest.mark.parametrize("potential, params", [("harmonic", {"omega": 1e200}), ("coulomb", {})])
+    def test_non_finite_derivative_is_a_domain_error(self, potential, params):
+        # omega**2 overflows as a Python float; 1/x^2 divides by zero at x = 0
+        g = Grid1D(N=64, L=16.0)
+        psi0 = WaveFunction.gaussian(g, x0=1.0)
+        with warnings.catch_warnings(), pytest.raises(EvaluationDomainError, match="^derivative"):
+            warnings.simplefilter("error")
+            ehrenfest_check(psi0, cfg(potential, dt=1e-2, t_final=0.1, **params))
 
     def test_refuses_exact_method(self):
         psi0 = WaveFunction.gaussian(GRID, x0=1.0)

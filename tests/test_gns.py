@@ -109,6 +109,14 @@ class TestGnsDimensions:
         res = gns_from_density(basis, DensityState.maximally_mixed(3))
         assert res.hilbert_dim == 1
 
+    def test_refuses_a_state_that_is_not_positive(self):
+        # omega(A) = tr(diag(1.5, -0.5) A) on the diagonal algebra: unit
+        # trace, but omega(E_22* E_22) = -0.5
+        basis = generate_algebra([AlgebraElement(np.diag([1.0, -1.0]))])
+        values = np.einsum("ab,kba->k", np.diag([1.5, -0.5]), basis.matrices())
+        with pytest.raises(InvalidStateError, match=r"^state is not positive: Gram eigenvalue -5.00e-01$"):
+            gns_construct(AbstractState(basis, values))
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_dim_equals_n_times_rank(self, n, rng):
         basis = full_matrix_basis(n, rng)
